@@ -3,16 +3,20 @@
 Each robot owns one contiguous arc of the loop containing its anchored
 start. An arc is covered by sweeping from the anchor to one end,
 reversing, and sweeping to the other end; its cost is the cheaper of
-the two sweep orders under the turn-aware time model. Cut points
-between consecutive anchors are chosen by binary search on the makespan
-with a greedy feasibility sweep, then polished by local moves.
+the two sweep orders under the turn-aware time model, evaluated exactly
+by :class:`LoopCostModel`. The cut points between consecutive anchors
+come from a search on the makespan in which each probe is one greedy
+feasibility sweep. A feasible probe lowers the upper bound to the
+makespan it achieved; an infeasible one raises the lower bound to the
+least arc cost it saw above its budget. The search ends when the bounds
+meet, so the result is the exact optimum, with no tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .coverage_path import (
     CoverageLoop,
@@ -21,6 +25,7 @@ from .coverage_path import (
     extract_twists,
     leg_time,
     path_time,
+    turn_term,
 )
 from .grid_map import Coord
 
@@ -66,14 +71,17 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
     size = len(loop)
     if len(requested) > size:
         raise ValueError(f"{len(requested)} robots exceed loop length {size}")
+    index = {node: i for i, node in enumerate(loop.nodes)}
     taken: set[int] = set()
     starts = []
     for rid, (rx, ry) in enumerate(requested):
-        best = min(
-            range(size),
-            key=lambda i: ((loop.nodes[i][0] - rx) ** 2
-                           + (loop.nodes[i][1] - ry) ** 2, i),
-        )
+        best = index.get((rx, ry))
+        if best is None:
+            best = min(
+                range(size),
+                key=lambda i: ((loop.nodes[i][0] - rx) ** 2
+                               + (loop.nodes[i][1] - ry) ** 2, i),
+            )
         while best in taken:
             best = (best - 1) % size
         taken.add(best)
@@ -112,69 +120,91 @@ def arc_cost(
 
 
 class LoopCostModel:
-    """O(log n) arc-cost evaluation via precomputed twist prefix sums.
+    """O(1) arc-cost evaluation on exact integer tables.
 
-    Produces exactly the same values as :func:`arc_cost`; used by the
-    partition search where arcs are probed many times.
+    Invariant: every ``leg_time`` and ``turn_term`` value an arc of this
+    loop can need is stored as an exact integer, the float times a common
+    power of two (``float.as_integer_ratio`` gives power-of-two
+    denominators). Leg prefix sums stay exact Python ints and a cost is
+    divided by that power of two once, at the end. Integer true division
+    and :func:`math.fsum` both round the exact sum correctly, so
+    :meth:`arc_cost` returns bit for bit what module-level
+    :func:`arc_cost` returns through :func:`path_time`. Tables are sized by
+    need: legs up to the longest straight run, turn terms up to two full
+    sweeps plus the reversal.
     """
 
     def __init__(self, loop: CoverageLoop, params: RobotParams):
-        self.loop = loop
-        self.params = params
-        self.size = len(loop)
+        self.size = size = len(loop)
         d = loop.resolution_d
         nodes = loop.nodes
         dirs = [
-            (nodes[(i + 1) % self.size][0] - nodes[i][0],
-             nodes[(i + 1) % self.size][1] - nodes[i][1])
-            for i in range(self.size)
+            (nodes[(i + 1) % size][0] - nodes[i][0],
+             nodes[(i + 1) % size][1] - nodes[i][1])
+            for i in range(size)
         ]
-        self.turn_idx = [
-            i for i in range(self.size) if dirs[i - 1] != dirs[i]
-        ]
-        # two unrolled periods of turning positions with leg-time prefix sums
-        doubled = self.turn_idx + [t + self.size for t in self.turn_idx]
-        self._turns2 = doubled
-        prefix = [0.0]
-        for a, b in zip(doubled, doubled[1:]):
-            prefix.append(prefix[-1] + leg_time((b - a) * d, params))
+        turning = [dirs[i - 1] != dirs[i] for i in range(size)]
+        turn_idx = [i for i in range(size) if turning[i]]
+        # two unrolled periods of turning positions; _rank[x] counts those <= x
+        self._turns2 = doubled = turn_idx + [t + size for t in turn_idx]
+        self._rank = list(accumulate(turning * 2))
+        runs = [b - a for a, b in zip(doubled, doubled[1:])]
+        legs = [leg_time(n * d, params) for n in range(max(runs) + 1)]
+        turns = [turn_term(n, params) for n in range(2 * len(turn_idx) + 5)]
+        ratios = [v.as_integer_ratio() for v in legs + turns]
+        self._scale = scale = max(den for _, den in ratios)
+        exact = [num * (scale // den) for num, den in ratios]
+        self._leg, self._turn = exact[:len(legs)], exact[len(legs):]
+        prefix = [0]
+        for run in runs:
+            prefix.append(prefix[-1] + self._leg[run])
         self._leg_prefix = prefix
-        self._rot = math.pi / (4 * params.omega)
+
+    def _legs(self, first: int, last: int) -> tuple[int, int]:
+        """Scaled leg-time sum and interior twist count of the one-way
+        sweep over virtual indices ``first < last``."""
+        lo, hi = self._rank[first], self._rank[last - 1]
+        if hi == lo:
+            return self._leg[last - first], 0
+        turns = self._turns2
+        return (
+            self._leg[turns[lo] - first]
+            + self._leg_prefix[hi - 1] - self._leg_prefix[lo]
+            + self._leg[last - turns[hi - 1]],
+            hi - lo,
+        )
 
     def sweep(self, start: int, span: int) -> float:
         """Time of a one-way sweep covering ``span + 1`` nodes forward
         from loop index ``start`` (span 0 is a standstill)."""
         if span == 0:
             return 0.0
-        d = self.loop.resolution_d
-        lo = bisect_left(self._turns2, start + 1)
-        hi = bisect_right(self._turns2, start + span - 1)
-        if hi <= lo:
-            return leg_time(span * d, self.params)
-        first, last = self._turns2[lo], self._turns2[hi - 1]
-        interior = hi - lo
-        mid = self._leg_prefix[hi - 1] - self._leg_prefix[lo]
-        return (
-            leg_time((first - start) * d, self.params)
-            + mid
-            + leg_time((start + span - last) * d, self.params)
-            + interior * self._rot
-        )
+        legs, interior = self._legs(start, start + span)
+        return (legs + self._turn[2 + interior]) / self._scale
 
     def arc_cost(self, arc_start: int, arc_length: int, anchor: int) -> float:
         """Equivalent of module-level :func:`arc_cost` on cyclic indices."""
         size = self.size
-        start = arc_start % size
+        first = arc_start % size
         span = arc_length - 1
         offset = (anchor - arc_start) % size
         if not 0 <= offset <= span:
             raise ValueError(f"anchor {anchor} outside arc")
-        full = self.sweep(start, span)
-        to_start = self.sweep(start, offset)
-        to_end = self.sweep((start + offset) % size, span - offset)
-        options = [full + to_start + (2 * self._rot if offset > 0 else 0.0),
-                   full + to_end + (2 * self._rot if offset < span else 0.0)]
-        return min(options)
+        if span == 0:
+            return 0.0
+        last = first + span
+        full, interior = self._legs(first, last)
+        turn = self._turn
+        if offset == 0 or offset == span:
+            # a one-way sweep; the reversing order only adds to it
+            total = full + turn[2 + interior]
+        else:
+            pivot = first + offset
+            near, near_turns = self._legs(first, pivot)
+            far, far_turns = self._legs(pivot, last)
+            total = full + min(near + turn[4 + interior + near_turns],
+                               far + turn[4 + interior + far_turns])
+        return total / self._scale
 
 
 def _sorted_anchor_order(starts: list[RobotStart]) -> list[RobotStart]:
@@ -183,43 +213,70 @@ def _sorted_anchor_order(starts: list[RobotStart]) -> list[RobotStart]:
 
 def _greedy_cuts(
     model: LoopCostModel, anchors: list[int], budget: float
-) -> list[int] | None:
-    """Find cut positions (virtual indices, one per inter-anchor gap)
-    keeping every arc within ``budget``, or None.
+) -> tuple[list[int] | None, float]:
+    """Cut positions keeping every arc within ``budget``, or None; also
+    the least arc cost above ``budget`` that the sweep evaluated.
 
-    Scans the first gap's cut candidates; for the rest, each arc is
-    extended as far as the budget allows (arc cost is monotone in arc
-    growth, so binary search applies).
+    ``anchors`` are ascending virtual indices within one period; cut
+    ``i`` is the last node of the arc holding ``anchors[i]``. Every cut
+    of the first gap is tried, so that gap should be the shortest. For
+    each, the later arcs are extended as far as the budget allows (arc
+    cost never decreases as an arc grows) and the last arc must close
+    the loop within budget. Those greedy cuts never decrease as the
+    first cut moves right, so each gap keeps a pointer that gallops
+    forward from where it stopped.
+
+    Every decision is a comparison of an evaluated cost with the budget,
+    so any budget below the returned cost repeats the sweep exactly:
+    when the sweep fails, no partition's makespan is below that cost.
     """
     k = len(anchors)
     size = model.size
-    a = anchors
-    a_virtual = a + [a[0] + size]
-    for c0 in range(a[0], a_virtual[1]):
-        cuts = [c0]
+    cost = model.arc_cost
+    over = math.inf
+    reach = [a - 1 for a in anchors]  # reach[i] >= anchors[i]: a cut that fits
+    limit = anchors[1:] + [anchors[0] + size]
+    for c0 in range(anchors[0], limit[0]):
         prev = c0
-        feasible = True
         for i in range(1, k):
-            start = prev + 1
-            lo, hi = a_virtual[i], a_virtual[i + 1] - 1
-            if model.arc_cost(start, lo - start + 1, a_virtual[i]) > budget:
-                feasible = False
-                break
-            while lo < hi:
-                midc = (lo + hi + 1) // 2
-                if model.arc_cost(start, midc - start + 1, a_virtual[i]) <= budget:
-                    lo = midc
+            start, anchor = prev + 1, anchors[i]
+            lo, hi = reach[i], limit[i] - 1
+            if lo < anchor:
+                t = cost(start, anchor - start + 1, anchor)
+                if t > budget:
+                    over = min(over, t)
+                    break
+                lo = anchor
+            step = 1
+            while lo < hi:  # gallop until a cut overshoots the budget
+                probe = min(lo + step, hi)
+                t = cost(start, probe - start + 1, anchor)
+                if t > budget:
+                    over = min(over, t)
+                    hi = probe - 1
+                    break
+                lo = probe
+                step *= 2
+            while lo < hi:  # then bisect below the overshoot
+                mid = (lo + hi + 1) // 2
+                t = cost(start, mid - start + 1, anchor)
+                if t > budget:
+                    over = min(over, t)
+                    hi = mid - 1
                 else:
-                    hi = midc - 1
-            cuts.append(lo)
-            prev = lo
-        if not feasible:
-            continue
-        start0 = prev + 1
-        end0 = c0 + size
-        if model.arc_cost(start0, end0 - start0 + 1, a[0] + size) <= budget:
-            return cuts
-    return None
+                    lo = mid
+            if lo == reach[i]:
+                # same cut as when this gap was last reached: the later
+                # arcs repeat, so they fail again or the closing arc,
+                # now longer, does
+                break
+            reach[i] = prev = lo
+        else:
+            t = cost(prev + 1, c0 + size - prev, anchors[0] + size)
+            if t <= budget:
+                return [c0] + reach[1:], over
+            over = min(over, t)
+    return None, over
 
 
 def _cut_makespan(model: LoopCostModel, anchors: list[int],
@@ -243,35 +300,41 @@ def balance_partition(
     if not starts:
         raise ValueError("at least one robot start is required")
     size = len(loop)
-    model = LoopCostModel(loop, params)
     ordered = _sorted_anchor_order(starts)
     anchors = [s.anchored for s in ordered]
     if len(set(anchors)) != len(anchors):
         raise ValueError("robot anchors must be distinct loop indices")
 
-    if len(starts) == 1:
+    k = len(anchors)
+    if k == 1:
         arcs = [(anchors[0], size)]
     else:
+        model = LoopCostModel(loop, params)
+        # the greedy sweep scans the first gap: make it the shortest
+        gaps = [(anchors[(i + 1) % k] - anchors[i]) % size for i in range(k)]
+        r = gaps.index(min(gaps))
+        ordered = ordered[r:] + ordered[:r]
+        anchors = anchors[r:] + [a + size for a in anchors[:r]]
         # upper bound: every arc runs from its anchor to just before the next
-        init = [anchors[i + 1] - 1 if i + 1 < len(anchors)
-                else anchors[0] + size - 1 for i in range(len(anchors))]
-        ub = _cut_makespan(model, anchors, init)
-        lb = 0.0
-        best = init
-        while ub - lb > 1e-9 * max(1.0, ub):
-            mid = (lb + ub) / 2
-            cuts = _greedy_cuts(model, anchors, mid)
-            if cuts is None:
-                lb = mid
+        cuts = [a - 1 for a in anchors[1:]] + [anchors[0] + size - 1]
+        ub = _cut_makespan(model, anchors, cuts)
+        lb, step = 0.0, 0.0
+        # A failed probe sweeps the whole first gap, a feasible one mostly
+        # stops early, so probe below ub by twice the last gain (just below
+        # ub after a failure) but never below the midpoint of the bounds.
+        while lb < ub:
+            budget = min(max(ub - step, (lb + ub) / 2), math.nextafter(ub, 0))
+            found, over = _greedy_cuts(model, anchors, budget)
+            if found is None:
+                lb, step = over, 0.0
             else:
-                ub = mid
-                best = cuts
-        best = _refine_cuts(model, anchors, best)
-        arcs = []
-        for i in range(len(anchors)):
-            start = (best[i - 1] + 1) % size
-            length = (best[i] - best[i - 1] - 1) % size + 1
-            arcs.append((start, length))
+                last = ub
+                cuts, ub = found, _cut_makespan(model, anchors, found)
+                step = 2 * (last - ub)
+        arcs = [
+            ((cuts[i - 1] + 1) % size, (cuts[i] - cuts[i - 1] - 1) % size + 1)
+            for i in range(k)
+        ]
 
     assignments = []
     for (arc_start, arc_length), robot in zip(arcs, ordered):
@@ -289,29 +352,6 @@ def balance_partition(
         )
     assignments.sort(key=lambda r: r.robot_id)
     return CoveragePlan(loop, tuple(assignments))
-
-
-def _refine_cuts(model: LoopCostModel, anchors: list[int],
-                 cuts: list[int]) -> list[int]:
-    """Move each cut one step while the makespan improves."""
-    k = len(anchors)
-    size = model.size
-    a_virtual = anchors + [anchors[0] + size]
-    current = _cut_makespan(model, anchors, cuts)
-    improved = True
-    while improved:
-        improved = False
-        for i in range(k):
-            for delta in (-1, 1):
-                trial = list(cuts)
-                trial[i] = cuts[i] + delta
-                if not a_virtual[i] <= trial[i] <= a_virtual[i + 1] - 1:
-                    continue
-                score = _cut_makespan(model, anchors, trial)
-                if score < current - 1e-12:
-                    cuts, current = trial, score
-                    improved = True
-    return cuts
 
 
 def brute_force_partition(

@@ -7,7 +7,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import pipeline
+from . import pipeline, tree_builder
 from .coverage_path import RobotParams
 from .grid_map import Coord, GridMap
 
@@ -126,7 +126,16 @@ def run_scenario(scenario: Scenario) -> RunReport:
         seed=scenario.seed,
     )
     planning = time.perf_counter() - t0
-    turns = pipeline.turns_by_method(scenario.grid, scenario.seed)
+    if scenario.starts:
+        # like turns_by_method, refuse a map that splits into components
+        pipeline.build_component(scenario.grid, None)
+    turns = {}
+    for method in TREE_METHODS:
+        if method == scenario.tree_method:
+            turns[method] = result.tree_turns
+        else:
+            tree, _ = pipeline.build_tree(result.span, method, scenario.seed)
+            turns[method] = tree_builder.tree_turns(tree)
     return RunReport(
         scenario=scenario.name,
         tree_method=scenario.tree_method,

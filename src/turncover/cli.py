@@ -156,6 +156,8 @@ def cmd_plan(args) -> int:
 def cmd_bench(args) -> int:
     if args.maps < 0:
         raise CliError("usage error", "--maps must be nonnegative")
+    if min(args.robots) < 1:
+        raise CliError("usage error", "--robots values must be at least 1")
     mega = args.mega
     grids = []
     for i in range(args.maps):

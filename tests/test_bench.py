@@ -1,7 +1,8 @@
 import pytest
 
-from turncover import bench, pipeline
+from turncover import bench, brick_tiling, pipeline
 from turncover.coverage_path import RobotParams
+from turncover.grid_map import DisconnectedGraphError, GridMap
 
 
 class TestGenerateRandomMap:
@@ -76,6 +77,28 @@ class TestRunScenario:
         assert report.brick_count == result.brick_count
         assert report.loop_length == len(result.loop)
         assert report.turns_by_method["tmstc"] == result.tree_turns
+
+    def test_one_tiling_per_scenario(self, monkeypatch):
+        calls = []
+        tiling = brick_tiling.min_brick_tiling
+        monkeypatch.setattr(brick_tiling, "min_brick_tiling",
+                            lambda span: calls.append(span) or tiling(span))
+        grid = bench.generate_random_map((6, 6), 0.1, 9)
+        for method in bench.TREE_METHODS:
+            calls.clear()
+            report = bench.run_scenario(
+                bench.Scenario("s", grid, k=2, tree_method=method, seed=9))
+            assert len(calls) == 1
+            assert report.turns_by_method == pipeline.turns_by_method(grid, 9)
+
+    def test_split_map_rejected_with_starts(self):
+        # two free mega cells split by an occupied one
+        rows = ["001100", "001100"]
+        cells = tuple(ch == "1" for row in rows for ch in row)
+        grid = GridMap(6, 2, cells)
+        scenario = bench.Scenario("s", grid, k=1, starts=((0, 0),))
+        with pytest.raises(DisconnectedGraphError):
+            bench.run_scenario(scenario)
 
     def test_bad_scenario(self):
         grid = bench.generate_random_map((3, 3), 0.0, 1)

@@ -125,6 +125,13 @@ class TestBench:
         assert main(["bench", "--maps", "0", "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_nonpositive_robot_count(self, capsys):
+        for robots in ("0", "2,-1"):
+            assert main(["bench", "--maps", "1", "--robots", robots]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:")
+            assert "Traceback" not in err
+
     def test_bad_mega_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--mega", "oops"])
