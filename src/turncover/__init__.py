@@ -27,7 +27,6 @@ from .coverage_path import (
     path_time,
 )
 from .grid_map import (
-    CoverageGraph,
     DisconnectedGraphError,
     GridMap,
     MapFormatError,

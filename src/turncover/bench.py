@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 from . import pipeline, tree_builder
 from .coverage_path import RobotParams
-from .grid_map import Coord, GridMap
+from .grid_map import Coord, GridMap, coverage_nodes_of, flood_fill
 
 TREE_METHODS = ("tmstc", "dfs", "kruskal")
 
@@ -70,15 +70,9 @@ def generate_random_map(
     n_obstacles = int(mw * mh * obstacle_ratio)
     for _ in range(max_attempts):
         occupied = set(rng.sample(cells_all, n_obstacles))
-        free = [c for c in cells_all if c not in occupied]
-        if free and _connected(set(free)):
-            unit = [
-                (2 * mx + dx, 2 * my + dy)
-                for mx, my in occupied
-                for dx in (0, 1)
-                for dy in (0, 1)
-            ]
-            occupied_units = set(unit)
+        free = {c for c in cells_all if c not in occupied}
+        if free and len(flood_fill(free, min(free))) == len(free):
+            occupied_units = coverage_nodes_of(occupied)
             cells = tuple(
                 (x, y) in occupied_units
                 for y in range(2 * mh)
@@ -89,19 +83,6 @@ def generate_random_map(
         f"no connected map found for {mw}x{mh} at ratio {obstacle_ratio} "
         f"after {max_attempts} attempts"
     )
-
-
-def _connected(nodes: set[Coord]) -> bool:
-    root = min(nodes)
-    seen = {root}
-    stack = [root]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-            if nb in nodes and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(nodes)
 
 
 def compare_trees(grids: list[tuple[str, GridMap]],

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .grid_map import Coord, SpanningGraph
+from .grid_map import Coord, SpanningGraph, find
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -62,9 +62,6 @@ class BrickSet:
 
     def __len__(self) -> int:
         return len(self.bricks)
-
-    def cell_count(self) -> int:
-        return sum(len(b) for b in self.bricks)
 
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
@@ -208,27 +205,19 @@ def tiling_from_independent_set(
 ) -> BrickSet:
     """Merge the two cells across every deleted border in ``keep``.
 
-    Independence guarantees every merged block is a straight brick; a
-    non-straight block means the input set was not independent.
+    Independence guarantees every merged block is a straight brick and
+    that the brick count R equals free cells S minus deleted borders T;
+    a failure of either means the input set was not independent.
     """
     parent: dict[Coord, Coord] = {c: c for c in span.nodes}
-
-    def find(c: Coord) -> Coord:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
     for seg_id in keep:
         a, b = graph.segments[seg_id].cells
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[ra] = rb
     groups: dict[Coord, list[Coord]] = {}
     for cell in span.sorted_nodes():
-        groups.setdefault(find(cell), []).append(cell)
+        groups.setdefault(find(parent, cell), []).append(cell)
     bricks = []
     for cells in groups.values():
         xs = {c[0] for c in cells}
@@ -251,6 +240,9 @@ def tiling_from_independent_set(
                 "border set was not independent"
             )
         bricks.append(tuple(cells))
+    s, t, r = len(span.nodes), len(keep), len(bricks)
+    if r != s - t:
+        raise ValueError(f"tiling identity violated: R={r} S={s} T={t}")
     bricks.sort(key=lambda b: (b[0][1], b[0][0]))
     return BrickSet(tuple(bricks))
 

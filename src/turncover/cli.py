@@ -52,8 +52,10 @@ def _load_map(args) -> grid_map.GridMap:
 
 
 def _params(args) -> RobotParams:
-    return RobotParams(accel=args.accel, v_max=args.vmax,
-                       omega=args.omega, tool_width=args.d)
+    try:
+        return RobotParams(accel=args.accel, v_max=args.vmax, omega=args.omega)
+    except ValueError as exc:
+        raise CliError("usage error", str(exc)) from exc
 
 
 def _parse_start(value: str) -> tuple[int, int]:
@@ -77,17 +79,12 @@ def cmd_tile(args) -> int:
     grid = _load_map(args)
     try:
         span = _component(grid)
-        seg_graph = brick_tiling.build_segment_graph(span)
-        matching = brick_tiling.maximum_matching(seg_graph)
-        keep = brick_tiling.max_independent_set(seg_graph, matching)
-        bricks = brick_tiling.tiling_from_independent_set(span, seg_graph, keep)
+        bricks = brick_tiling.min_brick_tiling(span)
     except grid_map.DisconnectedGraphError as exc:
         raise CliError("disconnected", str(exc)) from exc
-    s, t, r = len(span.nodes), len(keep), len(bricks)
-    if r != s - t:
-        raise AssertionError(f"tiling identity violated: R={r} S={s} T={t}")
+    s, r = len(span.nodes), len(bricks)
     _emit(args.out, brick_tiling.tiling_to_text(span, bricks))
-    print(f"S={s} T={t} R={r}")
+    print(f"S={s} T={s - r} R={r}")
     return 0
 
 
@@ -129,12 +126,13 @@ def cmd_plan(args) -> int:
             "usage error",
             f"{len(starts)} --start values for --robots {args.robots}",
         )
+    params = _params(args)
     try:
         result = pipeline.plan(
             grid,
             k=args.robots,
             starts=starts,
-            params=_params(args),
+            params=params,
             tree_method=args.method,
             seed=args.seed,
         )
@@ -158,6 +156,7 @@ def cmd_bench(args) -> int:
         raise CliError("usage error", "--maps must be nonnegative")
     if min(args.robots) < 1:
         raise CliError("usage error", "--robots values must be at least 1")
+    params = _params(args)
     mega = args.mega
     grids = []
     for i in range(args.maps):
@@ -175,7 +174,7 @@ def cmd_bench(args) -> int:
     for name, grid in grids:
         for k in args.robots:
             scenario = bench.Scenario(
-                name=name, grid=grid, k=k, params=_params(args),
+                name=name, grid=grid, k=k, params=params,
                 tree_method=args.method, seed=args.seed,
             )
             reports.append(bench.run_scenario(scenario))

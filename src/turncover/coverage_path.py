@@ -13,23 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid_map import Coord
+from .grid_map import Coord, coverage_nodes_of, normalize_edge
 from .tree_builder import SpanningTree
 
 
 @dataclass(frozen=True)
 class RobotParams:
     """Kinematics of the covering robot; defaults match the simulated
-    differential-drive platform (tool width 0.5 m, v_max 0.5 m/s,
-    omega 0.8 rad/s, accel 0.6 m/s^2)."""
+    differential-drive platform (v_max 0.5 m/s, omega 0.8 rad/s,
+    accel 0.6 m/s^2). The tool width is the map's ``resolution_d``."""
 
     accel: float = 0.6
     v_max: float = 0.5
     omega: float = 0.8
-    tool_width: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("accel", "v_max", "omega", "tool_width"):
+        for name in ("accel", "v_max", "omega"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
 
@@ -52,13 +51,11 @@ class TwistSet:
 
     ``indices`` point into the source node sequence; the first and last
     node always appear, and a 180-degree reversal contributes the same
-    index twice. ``points`` are the corresponding unit-cell coordinates
-    and ``headings`` the per-leg unit directions.
+    index twice. ``points`` are the corresponding unit-cell coordinates.
     """
 
     indices: tuple[int, ...]
     points: tuple[Coord, ...]
-    headings: tuple[Coord, ...]
 
     @property
     def n(self) -> int:
@@ -88,31 +85,22 @@ def _skeleton(tree: SpanningTree) -> set[tuple[Coord, str]]:
 
 
 def _allowed_moves(tree: SpanningTree) -> dict[Coord, list[Coord]]:
-    cover = [
-        (2 * mx + dx, 2 * my + dy)
-        for mx, my in tree.nodes
-        for dx in (0, 1)
-        for dy in (0, 1)
-    ]
-    cover_set = set(cover)
+    cover = coverage_nodes_of(tree.nodes)
     skeleton = _skeleton(tree)
     adj: dict[Coord, list[Coord]] = {c: [] for c in cover}
 
     def allowed(u: Coord, v: Coord) -> bool:
         mu = (u[0] // 2, u[1] // 2)
         mv = (v[0] // 2, v[1] // 2)
-        if mu != mv and normalize(mu, mv) not in tree.edges:
+        if mu != mv and normalize_edge(mu, mv) not in tree.edges:
             return False
         if v[0] == u[0] + 1:
             return ((u[0] + 1, u[1]), "v") not in skeleton
         return ((u[0], u[1] + 1), "h") not in skeleton
 
-    def normalize(a: Coord, b: Coord) -> tuple[Coord, Coord]:
-        return (a, b) if a <= b else (b, a)
-
     for u in cover:
         for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
-            if v in cover_set and allowed(u, v):
+            if v in cover and allowed(u, v):
                 adj[u].append(v)
                 adj[v].append(u)
     return adj
@@ -162,7 +150,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     if not seq:
         raise ValueError("empty node sequence")
     if len(seq) == 1:
-        return TwistSet((0,), (seq[0],), ())
+        return TwistSet((0,), (seq[0],))
     headings = [_direction(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
     indices = [0]
     for i in range(1, len(seq) - 1):
@@ -173,7 +161,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
                 indices.append(i)
     indices.append(len(seq) - 1)
     points = tuple(seq[i] for i in indices)
-    return TwistSet(tuple(indices), points, tuple(headings))
+    return TwistSet(tuple(indices), points)
 
 
 def loop_turn_count(loop: CoverageLoop) -> int:

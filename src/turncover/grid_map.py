@@ -1,10 +1,9 @@
-"""Occupancy grid parsing and discretization into coverage / spanning graphs.
+"""Occupancy grid parsing and discretization into the spanning graph.
 
-The planner works on two grids derived from the same map: the coverage
-graph of unit cells (edge length d, the tool width) and the spanning
-graph of mega cells (2d x 2d blocks of four unit cells). A mega cell is
-a spanning node only when all four of its unit cells are free, so every
-spanning node owns exactly four coverage nodes.
+The planner works on the spanning graph of mega cells (2d x 2d blocks
+of four unit cells, d being the tool width). A mega cell is a spanning
+node only when all four of its unit cells are free, so every spanning
+node stands for exactly four coverage nodes (``coverage_nodes_of``).
 
 Coordinates are (x=column, y=row) with the origin at the top-left;
 serialization is row-major.
@@ -12,6 +11,7 @@ serialization is row-major.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 Coord = tuple[int, int]
@@ -32,6 +32,27 @@ class DisconnectedGraphError(ValueError):
 def normalize_edge(a: Coord, b: Coord) -> Edge:
     """Canonical undirected edge representation (lexicographically sorted)."""
     return (a, b) if a <= b else (b, a)
+
+
+def find(parent: dict[Coord, Coord], node: Coord) -> Coord:
+    """Union-find root of ``node``, halving the path on the way up."""
+    while parent[node] != node:
+        parent[node] = parent[parent[node]]
+        node = parent[node]
+    return node
+
+
+def flood_fill(nodes: frozenset[Coord] | set[Coord], root: Coord) -> set[Coord]:
+    """Cells of ``nodes`` reachable from ``root`` by 4-adjacent steps."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        x, y = stack.pop()
+        for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
+            if nb in nodes and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -112,23 +133,15 @@ class SpanningGraph:
         return sorted(self.nodes)
 
 
-@dataclass(frozen=True)
-class CoverageGraph:
-    """Unit-cell graph restricted to cells inside free mega cells; edge length d."""
-
-    nodes: frozenset[Coord]
-    resolution_d: float = 0.5
-
-    def neighbors(self, node: Coord) -> list[Coord]:
-        x, y = node
-        candidates = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
-        return [c for c in candidates if c in self.nodes]
-
-
 def parse_map(content: bytes | str, fmt: str, resolution_d: float = 0.5) -> GridMap:
     """Parse a map file in ``movingai`` or ``grid01`` format."""
     if isinstance(content, bytes):
-        text = content.decode("ascii")
+        try:
+            text = content.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MapFormatError(
+                f"non-ASCII byte {content[exc.start]:#04x} at offset {exc.start}"
+            ) from exc
     else:
         text = content
     if fmt == "movingai":
@@ -202,51 +215,30 @@ def _parse_grid01(text: str, resolution_d: float) -> GridMap:
     return GridMap(width, height, tuple(cells), resolution_d)
 
 
-def pad_to_even(grid: GridMap) -> GridMap:
-    """Pad odd dimensions on the right/bottom with occupied cells."""
-    width = grid.width + (grid.width % 2)
-    height = grid.height + (grid.height % 2)
-    if (width, height) == (grid.width, grid.height):
-        return grid
-    cells = [
-        grid.is_occupied(x, y) for y in range(height) for x in range(width)
-    ]
-    return GridMap(width, height, tuple(cells), grid.resolution_d)
+def build_spanning_graph(grid: GridMap) -> SpanningGraph:
+    """Discretize a map into the mega-cell spanning graph.
 
-
-def build_spanning_graph(grid: GridMap) -> tuple[SpanningGraph, CoverageGraph]:
-    """Discretize a map into the mega-cell spanning graph and the unit-cell
-    coverage graph restricted to free mega cells."""
-    padded = pad_to_even(grid)
-    mega_w = padded.width // 2
-    mega_h = padded.height // 2
-    nodes = set()
-    for my in range(mega_h):
-        for mx in range(mega_w):
-            if all(
-                padded.is_free(2 * mx + dx, 2 * my + dy)
-                for dx in (0, 1)
-                for dy in (0, 1)
-            ):
-                nodes.add((mx, my))
+    Odd dimensions round up; the missing right/bottom cells count as
+    occupied, so those border mega cells never become nodes.
+    """
+    mega_w = (grid.width + 1) // 2
+    mega_h = (grid.height + 1) // 2
+    nodes = frozenset(
+        (mx, my)
+        for my in range(mega_h)
+        for mx in range(mega_w)
+        if all(grid.is_free(x, y) for x, y in coverage_nodes_of([(mx, my)]))
+    )
     if not nodes:
         raise MapFormatError("map has no fully free mega cell")
-    span = SpanningGraph(mega_w, mega_h, frozenset(nodes), padded.resolution_d)
-    cover_nodes = frozenset(
-        (2 * mx + dx, 2 * my + dy)
-        for mx, my in nodes
-        for dx in (0, 1)
-        for dy in (0, 1)
-    )
-    cover = CoverageGraph(cover_nodes, padded.resolution_d)
-    return span, cover
+    return SpanningGraph(mega_w, mega_h, nodes, grid.resolution_d)
 
 
-def coverage_nodes_of(span: SpanningGraph) -> frozenset[Coord]:
-    """Unit cells belonging to the mega cells of a spanning (sub)graph."""
+def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
+    """Unit cells of the given mega cells, four per mega cell."""
     return frozenset(
         (2 * mx + dx, 2 * my + dy)
-        for mx, my in span.nodes
+        for mx, my in cells
         for dx in (0, 1)
         for dy in (0, 1)
     )
@@ -264,15 +256,7 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
     components: list[set[Coord]] = []
     unseen = set(span.nodes)
     while unseen:
-        root = min(unseen)
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            cur = frontier.pop()
-            for nb in span.neighbors(cur):
-                if nb not in comp:
-                    comp.add(nb)
-                    frontier.append(nb)
+        comp = flood_fill(span.nodes, min(unseen))
         unseen -= comp
         components.append(comp)
 

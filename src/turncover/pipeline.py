@@ -27,9 +27,18 @@ class PlanResult:
 
 
 def build_component(grid: GridMap, starts: list[Coord] | None) -> SpanningGraph:
-    """Spanning graph restricted to the component holding the starts."""
-    span, _cover = grid_map.build_spanning_graph(grid)
+    """Spanning graph restricted to the component holding the starts.
+
+    A start whose 2x2 block is not fully free raises ``ValueError``.
+    """
+    span = grid_map.build_spanning_graph(grid)
     seeds = [(x // 2, y // 2) for x, y in starts] if starts else []
+    for cell, seed in zip(starts or (), seeds):
+        if seed not in span.nodes:
+            raise ValueError(
+                f"start {cell} lies in mega cell {seed}, whose 2x2 block "
+                "is not fully free"
+            )
     return grid_map.connected_component(span, seeds)
 
 
@@ -65,11 +74,12 @@ def plan(
                 raise ValueError(f"start {cell} is not a free map cell")
     span = build_component(grid, starts)
     tree, bricks = build_tree(span, tree_method, seed)
-    start_cell = starts[0] if starts else min(
-        grid_map.coverage_nodes_of(span)
-    )
-    loop = coverage_path.circumnavigate(tree, _nearest_cover_cell(span, start_cell),
-                                        grid.resolution_d)
+    if starts:
+        start_cell = starts[0]
+    else:
+        mx, my = min(span.nodes)
+        start_cell = (2 * mx, 2 * my)
+    loop = coverage_path.circumnavigate(tree, start_cell, grid.resolution_d)
     if starts:
         if len(starts) != k:
             raise ValueError(f"{len(starts)} starts given for {k} robots")
@@ -90,17 +100,6 @@ def plan(
         loop=loop,
         plan=robot_plan,
         tree_turns=tree_builder.tree_turns(tree),
-    )
-
-
-def _nearest_cover_cell(span: SpanningGraph, cell: Coord) -> Coord:
-    """Clamp a requested unit cell into the component's coverage nodes."""
-    cover = grid_map.coverage_nodes_of(span)
-    if cell in cover:
-        return cell
-    return min(
-        cover,
-        key=lambda c: ((c[0] - cell[0]) ** 2 + (c[1] - cell[1]) ** 2, c),
     )
 
 

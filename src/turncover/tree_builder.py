@@ -17,6 +17,7 @@ from .grid_map import (
     DisconnectedGraphError,
     Edge,
     SpanningGraph,
+    find,
     normalize_edge,
 )
 
@@ -39,9 +40,6 @@ class SpanningTree:
 
     def neighbors(self, node: Coord) -> tuple[Coord, ...]:
         return self._adj[node]
-
-    def degree(self, node: Coord) -> int:
-        return len(self._adj[node])
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -91,16 +89,8 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     """
     parent: dict[Coord, Coord] = {n: n for n in span.nodes}
 
-    def find(c: Coord) -> Coord:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
     def union(a: Coord, b: Coord) -> None:
-        parent[find(a)] = find(b)
+        parent[find(parent, a)] = find(parent, b)
 
     tree_edges: set[Edge] = set()
     adjacency: dict[Coord, set[Coord]] = {n: set() for n in span.nodes}
@@ -120,11 +110,11 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
         if edge not in tree_edges:
             heapq.heappush(heap, (edge_cost(edge, adjacency), edge))
 
-    components = len({find(n) for n in span.nodes})
+    components = len({find(parent, n) for n in span.nodes})
     while heap and components > 1:
         cached, edge = heapq.heappop(heap)
         a, b = edge
-        if find(a) == find(b):
+        if find(parent, a) == find(parent, b):
             continue
         cost = edge_cost(edge, adjacency)
         if cost == cached:
@@ -177,16 +167,9 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
     edges = span.edges()
     rng.shuffle(edges)
     parent: dict[Coord, Coord] = {n: n for n in span.nodes}
-
-    def find(c: Coord) -> Coord:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
     chosen = []
     for a, b in edges:
-        ra, rb = find(a), find(b)
+        ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[ra] = rb
             chosen.append((a, b))

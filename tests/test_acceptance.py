@@ -224,7 +224,7 @@ def test_10_coverage_completeness():
             grid = bench.generate_random_map((6, 5), 0.15, seed)
             result = pipeline.plan(grid, k=k, seed=seed)
             loop = result.loop
-            cover = grid_map.coverage_nodes_of(result.span)
+            cover = grid_map.coverage_nodes_of(result.span.nodes)
             assert set(loop.nodes) == cover
             visited = set()
             indices = []

@@ -1,6 +1,11 @@
+import contextlib
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turncover.cli import main
 
@@ -35,6 +40,10 @@ class TestTile:
         path.write_text(BLOCKED)
         assert main(["tile", "--map", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
+        path.write_bytes(b"0\xe90\n00\n")  # non-ASCII glyph
+        for command in ("tile", "tree", "plan"):
+            assert main([command, "--map", str(path)]) == 1
+            assert capsys.readouterr().err.startswith("parse error:")
 
     def test_missing_file(self, capsys):
         assert main(["tile", "--map", "/nonexistent.map"]) == 1
@@ -78,11 +87,14 @@ class TestPlan:
 
     def test_start_outside_free_space(self, tmp_path, capsys):
         path = tmp_path / "m.map"
-        path.write_text("0010\n0000\n0000\n0000\n")
-        code = main(["plan", "--map", str(path), "--robots", "1",
-                     "--start", "2,0"])
-        assert code == 1
-        assert "planning error" in capsys.readouterr().err
+        # an occupied start, then a free start in a partly occupied block
+        for text, start in (("0010\n0000\n0000\n0000\n", "2,0"),
+                            ("0000\n0000\n0010\n0000\n", "3,3")):
+            path.write_text(text)
+            code = main(["plan", "--map", str(path), "--robots", "1",
+                         "--start", start])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("planning error:")
 
     def test_deterministic_artifact(self, strip_map, tmp_path):
         out1 = tmp_path / "p1.txt"
@@ -132,6 +144,16 @@ class TestBench:
             assert err.startswith("usage error:")
             assert "Traceback" not in err
 
+    def test_nonpositive_kinematics(self, strip_map, capsys):
+        for flag, value in (("--vmax", "0"), ("--omega", "-1"),
+                            ("--accel", "0")):
+            for argv in (["bench", "--maps", "1", "--mega", "4,4"],
+                         ["plan", "--map", strip_map]):
+                assert main(argv + [flag, value]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("usage error:")
+                assert "Traceback" not in err
+
     def test_bad_mega_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--mega", "oops"])
@@ -141,3 +163,50 @@ def test_movingai_format_flag(tmp_path):
     path = tmp_path / "m.map"
     path.write_text("type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n")
     assert main(["tile", "--map", str(path), "--format", "movingai"]) == 0
+
+
+CATEGORIES = ("usage error:", "io error:", "parse error:", "disconnected:",
+              "planning error:")
+
+
+@st.composite
+def cli_calls(draw):
+    """A small grid01 map, mostly free, a quarter of them with one or two
+    arbitrary bytes written over, plus a tile/tree/plan command line."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    glyphs = st.lists(st.sampled_from(b"00000001"), min_size=width,
+                      max_size=width)
+    data = bytearray(b"".join(bytes(draw(glyphs)) + b"\n"
+                              for _ in range(height)))
+    if draw(st.integers(0, 3)) == 0:
+        for _ in range(draw(st.integers(1, 2))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    command = draw(st.sampled_from(["plan", "tree", "tile"]))
+    flags = []
+    if command != "tile":
+        flags += ["--method", draw(st.sampled_from(["tmstc", "dfs", "kruskal"]))]
+    if command == "plan":
+        robots = draw(st.integers(0, 4))
+        flags += ["--robots", str(robots)]
+        if draw(st.booleans()):
+            # mostly one start per robot, sometimes one too many
+            n = draw(st.sampled_from([robots, robots, robots, robots + 1]))
+            coords = st.tuples(st.integers(-1, 8), st.integers(-1, 8))
+            flags += [f"--start={x},{y}"
+                      for x, y in draw(st.lists(coords, min_size=n, max_size=n))]
+    return bytes(data), command, flags
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(cli_calls())
+def test_main_exits_cleanly(call):
+    data, command, flags = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.grid"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--map", str(path), *flags])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(CATEGORIES), err.getvalue()

@@ -8,7 +8,6 @@ from turncover.grid_map import (
     build_spanning_graph,
     connected_component,
     coverage_nodes_of,
-    pad_to_even,
     parse_map,
 )
 
@@ -77,45 +76,39 @@ def all_free(width, height):
 
 class TestBuildSpanningGraph:
     def test_single_mega_cell(self):
-        span, cover = build_spanning_graph(all_free(2, 2))
+        span = build_spanning_graph(all_free(2, 2))
         assert span.nodes == {(0, 0)}
-        assert len(cover.nodes) == 4
+        assert len(coverage_nodes_of(span.nodes)) == 4
         assert span.edges() == []
 
     def test_4x4_all_free(self):
-        span, cover = build_spanning_graph(all_free(4, 4))
+        span = build_spanning_graph(all_free(4, 4))
         assert len(span.nodes) == 4
         assert len(span.edges()) == 4
-        assert len(cover.nodes) == 16
+        assert len(coverage_nodes_of(span.nodes)) == 16
 
     def test_one_blocked_unit_cell_drops_mega_cell(self):
         cells = [False] * 16
         cells[0] = True  # (0,0)
-        span, cover = build_spanning_graph(GridMap(4, 4, tuple(cells)))
+        span = build_spanning_graph(GridMap(4, 4, tuple(cells)))
         assert len(span.nodes) == 3
         assert (0, 0) not in span.nodes
-        assert len(cover.nodes) == 12
-
-    def test_padding_preserves_free_count(self):
-        grid = all_free(5, 5)
-        padded = pad_to_even(grid)
-        assert (padded.width, padded.height) == (6, 6)
-        assert padded.free_count() == grid.free_count()
+        assert len(coverage_nodes_of(span.nodes)) == 12
 
     def test_odd_dims_pad_right_bottom(self):
-        span, _ = build_spanning_graph(all_free(5, 5))
+        span = build_spanning_graph(all_free(5, 5))
         assert span.mega_width == 3 and span.mega_height == 3
         assert span.nodes == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_four_coverage_nodes_per_spanning_node(self):
         for w, h in [(2, 2), (4, 6), (5, 3), (8, 8)]:
-            span, cover = build_spanning_graph(all_free(w, h))
-            assert len(cover.nodes) == 4 * len(span.nodes)
+            span = build_spanning_graph(all_free(w, h))
+            assert len(coverage_nodes_of(span.nodes)) == 4 * len(span.nodes)
 
     def test_deterministic(self):
         a = build_spanning_graph(all_free(6, 6))
         b = build_spanning_graph(all_free(6, 6))
-        assert a[0].nodes == b[0].nodes and a[0].edges() == b[0].edges()
+        assert a.nodes == b.nodes and a.edges() == b.edges()
 
     def test_all_blocked_rejected(self):
         with pytest.raises(MapFormatError):
@@ -138,7 +131,7 @@ class TestConnectedComponent:
             connected_component(two_region_span(), [(0, 0), (2, 0)])
 
     def test_empty_seed_list_single_component(self):
-        span, _ = build_spanning_graph(all_free(4, 4))
+        span = build_spanning_graph(all_free(4, 4))
         assert connected_component(span, []).nodes == span.nodes
 
     def test_empty_seed_list_multi_component(self):
@@ -151,4 +144,4 @@ class TestConnectedComponent:
 
     def test_coverage_nodes_of_component(self):
         sub = connected_component(two_region_span(), [(2, 0)])
-        assert len(coverage_nodes_of(sub)) == 8
+        assert len(coverage_nodes_of(sub.nodes)) == 8
