@@ -206,6 +206,32 @@ class LoopCostModel:
                                far + turn[4 + interior + far_turns])
         return total / self._scale
 
+    def sweep_order(self, arc_start: int, arc_length: int,
+                    anchor: int) -> tuple[float, bool]:
+        """:meth:`arc_cost` of the arc and whether the near-end-first
+        order (the first sequence of :func:`_arc_sequences`) achieves it.
+
+        Both orders are timed as floats and ties go to the near end, as
+        ``min`` over the two timed sequences would pick. An anchor at the
+        start of its arc sweeps one way near end first, one at the end
+        one way far end first.
+        """
+        size = self.size
+        first = arc_start % size
+        span = arc_length - 1
+        offset = (anchor - arc_start) % size
+        if offset in (0, span):
+            return self.sweep(first, span), offset == 0
+        last = first + span
+        pivot = first + offset
+        full, interior = self._legs(first, last)
+        near, near_turns = self._legs(first, pivot)
+        far, far_turns = self._legs(pivot, last)
+        turn, scale = self._turn, self._scale
+        t_near = (full + near + turn[4 + interior + near_turns]) / scale
+        t_far = (full + far + turn[4 + interior + far_turns]) / scale
+        return (t_near, True) if t_near <= t_far else (t_far, False)
+
 
 def _sorted_anchor_order(starts: list[RobotStart]) -> list[RobotStart]:
     return sorted(starts, key=lambda s: s.anchored)
@@ -338,16 +364,21 @@ def balance_partition(
 
     assignments = []
     for (arc_start, arc_length), robot in zip(arcs, ordered):
-        seqs = _arc_sequences(loop, arc_start, arc_length, robot.anchored)
-        timed = [
-            (path_time(extract_twists(s), params, loop.resolution_d), j, s)
-            for j, s in enumerate(seqs)
-        ]
-        t, _, seq = min(timed)
+        near, far = _arc_sequences(loop, arc_start, arc_length, robot.anchored)
+        if k == 1:
+            # the whole loop one way from the anchor; reversing only adds
+            seq = near
+            twists = extract_twists(seq)
+            t = path_time(twists, params, loop.resolution_d)
+        else:
+            t, near_first = model.sweep_order(arc_start, arc_length,
+                                              robot.anchored)
+            seq = near if near_first else far
+            twists = extract_twists(seq)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,
-                tuple(seq), extract_twists(seq), t,
+                tuple(seq), twists, t,
             )
         )
     assignments.sort(key=lambda r: r.robot_id)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -156,6 +157,8 @@ def cmd_bench(args) -> int:
         raise CliError("usage error", "--maps must be nonnegative")
     if min(args.robots) < 1:
         raise CliError("usage error", "--robots values must be at least 1")
+    if not 0 <= args.obstacle_ratio < 1:
+        raise CliError("usage error", "--obstacle-ratio must be in [0, 1)")
     params = _params(args)
     mega = args.mega
     grids = []
@@ -267,6 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (args.d > 0 and math.isfinite(args.d)):
+            raise CliError("usage error", "--d must be a positive finite number")
         return args.func(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -29,7 +29,7 @@ class RobotParams:
 
     def __post_init__(self) -> None:
         for name in ("accel", "v_max", "omega"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be strictly positive")
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from turncover import bench, pipeline
+from turncover import balance, bench, pipeline
 from turncover.balance import (
     LoopCostModel,
     RobotStart,
@@ -151,6 +151,30 @@ class TestLoopCostModel:
                 fast = model.arc_cost(start, length, anchor)
                 assert fast == direct
 
+    def test_sweep_order_picks_what_min_over_timed_sequences_picks(self):
+        rng = random.Random(7)
+        ties = 0
+        for seed in range(8):
+            loop = random_loop(seed, mega=(3, 3), ratio=0.15)
+            model = LoopCostModel(loop, PARAMS)
+            size = len(loop)
+            cases = [(0, 1, 0), (0, size, 0), (0, size, size - 1),
+                     (3, 8, 3), (3, 8, 10), (3, 9, 7)]
+            for _ in range(50):
+                start = rng.randrange(size)
+                length = rng.randint(1, size)
+                cases.append((start, length,
+                              (start + rng.randrange(length)) % size))
+            for start, length, anchor in cases:
+                seqs = balance._arc_sequences(loop, start, length, anchor)
+                timed = [(path_time(extract_twists(s), PARAMS,
+                                    loop.resolution_d), j)
+                         for j, s in enumerate(seqs)]
+                ties += timed[0][0] == timed[1][0]
+                t, j = min(timed)
+                assert model.sweep_order(start, length, anchor) == (t, j == 0)
+        assert ties > 0  # single-node arcs and symmetric ones tie
+
 
 class TestBalancePartition:
     def test_single_robot_gets_whole_loop(self):
@@ -269,3 +293,19 @@ class TestBalancePartition:
                 for t in range(robot.arc_length)
             }
             assert set(robot.sequence) == arc_nodes
+
+    def test_robot_times_equal_arc_cost(self):
+        rng = random.Random(8)
+        for seed in range(10):
+            loop = random_loop(seed, mega=(3, 3), ratio=0.15)
+            k = rng.randint(1, 4)
+            idxs = sorted(rng.sample(range(len(loop)), k))
+            starts = [RobotStart(i, loop.nodes[idx], idx)
+                      for i, idx in enumerate(idxs)]
+            for robot in balance_partition(loop, starts, PARAMS).robots:
+                assert robot.time == arc_cost(
+                    loop, robot.arc_start, robot.arc_length, robot.anchored,
+                    PARAMS)
+                assert robot.twists == extract_twists(robot.sequence)
+                assert robot.time == path_time(robot.twists, PARAMS,
+                                               loop.resolution_d)

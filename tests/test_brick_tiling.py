@@ -1,7 +1,10 @@
+import inspect
 import random
+import sys
 
 import pytest
 
+from turncover import bench, pipeline
 from turncover.brick_tiling import (
     HORIZONTAL,
     VERTICAL,
@@ -98,6 +101,62 @@ class TestMaximumMatching:
                     if len(used) == len(set(used)):
                         best = max(best, size)
             assert len(matching) == best
+
+
+def random_map_graph(mega, ratio, seed):
+    grid = bench.generate_random_map((mega, mega), ratio, seed)
+    return build_segment_graph(pipeline.build_component(grid, None))
+
+
+def diagonal_slash_graph():
+    """60x60 mega cells cut by diagonal obstacle slashes; the greedy seed
+    leaves 25 augmenting paths to the phases."""
+    obstacles = [(x, y) for y in range(60) for x in range(60)
+                 if (x + 2 * y) % 7 == 0 and x % 5]
+    return build_segment_graph(make_span(60, 60, obstacles))
+
+
+class TestMatchingOracle:
+    """Matching size against networkx Hopcroft-Karp on large maps, and the
+    Koenig independent set's independence of which maximum matching it
+    is given."""
+
+    @pytest.mark.parametrize("make_graph", [
+        lambda: random_map_graph(80, 0.1, 1),
+        lambda: random_map_graph(80, 0.05, 2),
+        lambda: random_map_graph(120, 0.1, 3),
+        diagonal_slash_graph,
+    ], ids=["mega80-r10", "mega80-r5", "mega120-r10", "slashes60"])
+    def test_size_and_keep_match_networkx(self, make_graph):
+        import networkx as nx
+
+        graph = make_graph()
+        h_ids = graph.horizontal_ids()
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(range(len(graph.segments)))
+        nx_graph.add_edges_from(graph.edges)
+        mate = nx.bipartite.hopcroft_karp_matching(nx_graph, top_nodes=h_ids)
+        reference = frozenset((h, mate[h]) for h in h_ids if h in mate)
+        matching = maximum_matching(graph)
+        assert len(matching) == len(reference)
+        assert max_independent_set(graph, matching) == max_independent_set(
+            graph, reference)
+
+
+def test_tiling_does_not_recurse():
+    grid = bench.generate_random_map((40, 40), 0.1, 4)
+    span = pipeline.build_component(grid, None)
+    graph = build_segment_graph(span)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        matching = maximum_matching(graph)
+        bricks = min_brick_tiling(span)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert matching == maximum_matching(graph)
+    assert len(bricks) == len(span.nodes) - (len(graph.segments)
+                                             - len(matching))
 
 
 class TestMaxIndependentSet:

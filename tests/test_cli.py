@@ -146,13 +146,29 @@ class TestBench:
 
     def test_nonpositive_kinematics(self, strip_map, capsys):
         for flag, value in (("--vmax", "0"), ("--omega", "-1"),
-                            ("--accel", "0")):
-            for argv in (["bench", "--maps", "1", "--mega", "4,4"],
+                            ("--accel", "0"), ("--vmax", "nan")):
+            for argv in (["bench", "--maps", "1", "--mega", "4,4",
+                          "--robots", "2"],
                          ["plan", "--map", strip_map]):
                 assert main(argv + [flag, value]) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("usage error:")
                 assert "Traceback" not in err
+
+    def test_bad_resolution_and_obstacle_ratio(self, strip_map, capsys):
+        cases = [["bench", "--maps", "1", "--mega", "2,2", "--d", "0"],
+                 ["bench", "--maps", "1", "--mega", "2,2",
+                  "--obstacle-ratio", "1"],
+                 ["bench", "--maps", "1", "--mega", "2,2",
+                  "--obstacle-ratio", "-0.5"]]
+        for command in ("tile", "tree", "plan"):
+            for value in ("0", "-1", "nan", "inf"):
+                cases.append([command, "--map", strip_map, "--d", value])
+        for argv in cases:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:"), (argv, err)
+            assert "Traceback" not in err
 
     def test_bad_mega_flag(self, capsys):
         with pytest.raises(SystemExit):
