@@ -65,29 +65,37 @@ class BrickSet:
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     """One segment per adjacent free pair; edges join perpendicular
-    segments sharing a geometric endpoint (parallel ones never connect)."""
+    segments sharing a geometric endpoint (parallel ones never connect).
+
+    The horizontal border below ``(x, y)`` ends at the lattice points
+    ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
+    vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
+    ``(x, y)`` and ``(x, y + 1)``. Ids follow ``sorted_nodes()``, so those
+    come in ascending id order and the edges come out sorted.
+    """
+    nodes = span.nodes
     segments: list[Segment] = []
+    below: list[tuple[int, int, int]] = []  # (id, x, y) of horizontal ones
+    right_of: dict[Coord, int] = {}  # cell -> id of the vertical one
     for x, y in span.sorted_nodes():
-        if (x, y + 1) in span.nodes:
+        if (x, y + 1) in nodes:
+            below.append((len(segments), x, y))
             segments.append(
                 Segment(len(segments), HORIZONTAL, ((x, y), (x, y + 1)))
             )
-        if (x + 1, y) in span.nodes:
+        if (x + 1, y) in nodes:
+            right_of[x, y] = len(segments)
             segments.append(
                 Segment(len(segments), VERTICAL, ((x, y), (x + 1, y)))
             )
-    by_point: dict[Coord, dict[str, list[int]]] = {}
-    for seg in segments:
-        for pt in seg.endpoints():
-            by_point.setdefault(pt, {HORIZONTAL: [], VERTICAL: []})[
-                seg.orientation
-            ].append(seg.id)
-    edges = set()
-    for buckets in by_point.values():
-        for h in buckets[HORIZONTAL]:
-            for v in buckets[VERTICAL]:
-                edges.add((h, v))
-    return SegmentGraph(tuple(segments), tuple(sorted(edges)))
+    edges = []
+    get = right_of.get
+    for h, x, y in below:
+        for cell in ((x - 1, y), (x - 1, y + 1), (x, y), (x, y + 1)):
+            v = get(cell)
+            if v is not None:
+                edges.append((h, v))
+    return SegmentGraph(tuple(segments), tuple(edges))
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:

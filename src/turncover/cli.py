@@ -180,7 +180,10 @@ def cmd_bench(args) -> int:
                 name=name, grid=grid, k=k, params=params,
                 tree_method=args.method, seed=args.seed,
             )
-            reports.append(bench.run_scenario(scenario))
+            try:
+                reports.append(bench.run_scenario(scenario))
+            except ValueError as exc:
+                raise CliError("planning error", str(exc)) from exc
     text = bench.turns_table(rows) + "\n" + bench.report_table(reports)
     if args.records:
         _write_atomic(

@@ -1,11 +1,15 @@
 """Circumnavigation loop generation and the turn-aware time model.
 
-The robot hugs the spanning tree: unit-cell moves are allowed inside a
-mega cell unless they would cross the tree skeleton, and between mega
-cells only alongside a tree edge. Those rules make every coverage node
-degree 2, so the allowed moves form a single loop visiting each unit
-cell exactly once. Timing assumes trapezoidal motion from rest on every
-leg and a fixed stop-and-rotate cost per 90-degree twist.
+The robot hugs the spanning tree as in STC (Gabriely & Rimon 2001): its
+next unit cell depends only on the quadrant of its mega cell that it is
+in and on which tree edges leave that mega cell. From the top-left
+quadrant it goes up along an up edge, else right; from the top-right,
+right along a right edge, else down; from the bottom-right, down along a
+down edge, else left; from the bottom-left, left along a left edge, else
+up. The walk keeps the tree on one side and closes after visiting each
+of the 4N unit cells of N mega cells exactly once. Timing assumes
+trapezoidal motion from rest on every leg and a fixed stop-and-rotate
+cost per 90-degree twist.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .grid_map import Coord, coverage_nodes_of, normalize_edge
-from .tree_builder import SpanningTree
+from .grid_map import Coord
+from .tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
 
 
 @dataclass(frozen=True)
@@ -69,78 +73,54 @@ def _direction(a: Coord, b: Coord) -> Coord:
     return (dx, dy)
 
 
-def _skeleton(tree: SpanningTree) -> set[tuple[Coord, str]]:
-    """Unit lattice segments covered by the tree drawn through mega-cell
-    centers; keys are (lattice point, axis)."""
-    segs: set[tuple[Coord, str]] = set()
-    for (ax, ay), (bx, by) in tree.edges:
-        cx, cy = 2 * ax + 1, 2 * ay + 1
-        if ay == by:  # horizontal tree edge -> two horizontal lattice segments
-            segs.add(((cx, cy), "h"))
-            segs.add(((cx + 1, cy), "h"))
-        else:
-            segs.add(((cx, cy), "v"))
-            segs.add(((cx, cy + 1), "v"))
-    return segs
-
-
-def _allowed_moves(tree: SpanningTree) -> dict[Coord, list[Coord]]:
-    cover = coverage_nodes_of(tree.nodes)
-    skeleton = _skeleton(tree)
-    adj: dict[Coord, list[Coord]] = {c: [] for c in cover}
-
-    def allowed(u: Coord, v: Coord) -> bool:
-        mu = (u[0] // 2, u[1] // 2)
-        mv = (v[0] // 2, v[1] // 2)
-        if mu != mv and normalize_edge(mu, mv) not in tree.edges:
-            return False
-        if v[0] == u[0] + 1:
-            return ((u[0] + 1, u[1]), "v") not in skeleton
-        return ((u[0], u[1] + 1), "h") not in skeleton
-
-    for u in cover:
-        for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
-            if v in cover and allowed(u, v):
-                adj[u].append(v)
-                adj[v].append(u)
-    return adj
-
-
 def circumnavigate(tree: SpanningTree, start: Coord,
                    resolution_d: float = 0.5) -> CoverageLoop:
-    """Counterclockwise wall-following loop around the tree, rotated to
-    begin at ``start``; every coverage node is visited exactly once."""
-    adj = _allowed_moves(tree)
-    if start not in adj:
+    """Loop around the tree by the quadrant rule, beginning at ``start``;
+    every coverage node is visited exactly once.
+
+    The loop has positive signed area in (x, y) coordinates
+    (counterclockwise with the y axis pointing up). The successor of a
+    cell is fixed, so a walk that first returns to ``start`` after
+    exactly 4N steps has visited 4N distinct cells; any other outcome
+    means the tree was not connected.
+    """
+    masks = tree.masks
+    sx, sy = start
+    if (sx >> 1, sy >> 1) not in masks:
         raise ValueError(f"start {start} lies outside the tree's mega cells")
-    bad = [c for c, nbs in adj.items() if len(nbs) != 2]
-    if bad:
-        raise AssertionError(f"circumnavigation graph not 2-regular at {bad[:4]}")
-    loop = [start]
-    prev = None
-    cur = start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
+    n = 4 * len(masks)
+    nodes = [start]
+    append = nodes.append
+    x, y = start
+    for _ in range(n):
+        mask = masks[x >> 1, y >> 1]
+        if y & 1:
+            if x & 1:  # bottom-right
+                if mask & DOWN:
+                    y += 1
+                else:
+                    x -= 1
+            elif mask & LEFT:  # bottom-left
+                x -= 1
+            else:
+                y -= 1
+        elif x & 1:  # top-right
+            if mask & RIGHT:
+                x += 1
+            else:
+                y += 1
+        elif mask & UP:  # top-left
+            y -= 1
+        else:
+            x += 1
+        if x == sx and y == sy:
             break
-        loop.append(nxt)
-        prev, cur = cur, nxt
-    if len(loop) != len(adj):
+        append((x, y))
+    if len(nodes) != n:
         raise AssertionError(
-            f"circumnavigation loop covers {len(loop)} of {len(adj)} nodes"
+            f"circumnavigation did not close after exactly {n} steps"
         )
-    if _signed_area(loop) < 0:
-        loop = [loop[0]] + loop[:0:-1]
-    return CoverageLoop(tuple(loop), resolution_d)
-
-
-def _signed_area(loop: list[Coord]) -> int:
-    total = 0
-    for i, (x1, y1) in enumerate(loop):
-        x2, y2 = loop[(i + 1) % len(loop)]
-        total += x1 * y2 - x2 * y1
-    return total
+    return CoverageLoop(tuple(nodes), resolution_d)
 
 
 def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
@@ -176,19 +156,37 @@ def leg_time(distance: float, params: RobotParams) -> float:
     """Travel time of one straight leg starting and ending at rest.
 
     Short legs never reach v_max (pure acceleration); long legs hold
-    v_max between the ramps.
+    v_max between the ramps. A time that is not finite (the kinematics
+    or the distance lie outside the float range) raises ``ValueError``.
     """
     if distance < 0:
         raise ValueError("distance must be nonnegative")
-    threshold = params.v_max ** 2 / (2 * params.accel)
+    try:
+        threshold = params.v_max ** 2 / (2 * params.accel)
+    except OverflowError:  # no leg is long enough to reach v_max
+        threshold = math.inf
     if distance <= threshold:
-        return math.sqrt(2 * distance / params.accel)
-    return distance / params.v_max + params.v_max / (2 * params.accel)
+        time = math.sqrt(2 * distance / params.accel)
+    else:
+        time = distance / params.v_max + params.v_max / (2 * params.accel)
+    if not math.isfinite(time):
+        raise ValueError(
+            f"leg time is not finite for a leg of {distance} m under "
+            f"accel={params.accel}, v_max={params.v_max}"
+        )
+    return time
 
 
 def turn_term(n_twists: int, params: RobotParams) -> float:
-    """Total rotation time for a path with ``n_twists`` twist entries."""
-    return max(0, n_twists - 2) * math.pi / (4 * params.omega)
+    """Total rotation time for a path with ``n_twists`` twist entries;
+    ``ValueError`` when it is not finite."""
+    time = max(0, n_twists - 2) * math.pi / (4 * params.omega)
+    if not math.isfinite(time):
+        raise ValueError(
+            f"rotation time is not finite for {n_twists} twists under "
+            f"omega={params.omega}"
+        )
+    return time
 
 
 def path_time(twists: TwistSet, params: RobotParams,

@@ -221,17 +221,20 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
     Odd dimensions round up; the missing right/bottom cells count as
     occupied, so those border mega cells never become nodes.
     """
-    mega_w = (grid.width + 1) // 2
-    mega_h = (grid.height + 1) // 2
-    nodes = frozenset(
-        (mx, my)
-        for my in range(mega_h)
-        for mx in range(mega_w)
-        if all(grid.is_free(x, y) for x, y in coverage_nodes_of([(mx, my)]))
-    )
+    width, cells = grid.width, grid.cells
+    nodes = []
+    for my in range(grid.height // 2):
+        top = 2 * my * width
+        bottom = top + width
+        for mx in range(width // 2):
+            x = 2 * mx
+            if not (cells[top + x] or cells[top + x + 1]
+                    or cells[bottom + x] or cells[bottom + x + 1]):
+                nodes.append((mx, my))
     if not nodes:
         raise MapFormatError("map has no fully free mega cell")
-    return SpanningGraph(mega_w, mega_h, nodes, grid.resolution_d)
+    return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
+                         frozenset(nodes), grid.resolution_d)
 
 
 def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:

@@ -69,10 +69,15 @@ def plan(
     """
     params = params or RobotParams()
     if starts:
+        if len(starts) != k:
+            raise ValueError(f"{len(starts)} starts given for {k} robots")
         for cell in starts:
             if not grid.is_free(*cell):
                 raise ValueError(f"start {cell} is not a free map cell")
     span = build_component(grid, starts)
+    size = 4 * len(span.nodes)  # the loop visits four unit cells per node
+    if k > size:
+        raise ValueError(f"{k} robots exceed loop length {size}")
     tree, bricks = build_tree(span, tree_method, seed)
     if starts:
         start_cell = starts[0]
@@ -81,13 +86,8 @@ def plan(
         start_cell = (2 * mx, 2 * my)
     loop = coverage_path.circumnavigate(tree, start_cell, grid.resolution_d)
     if starts:
-        if len(starts) != k:
-            raise ValueError(f"{len(starts)} starts given for {k} robots")
         anchored = balance.anchor_starts(loop, starts)
     else:
-        size = len(loop)
-        if k > size:
-            raise ValueError(f"{k} robots exceed loop length {size}")
         anchored = [
             RobotStart(i, loop.nodes[i * size // k], i * size // k)
             for i in range(k)

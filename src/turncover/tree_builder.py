@@ -22,24 +22,40 @@ from .grid_map import (
 )
 
 
+# Neighbour-mask bits of a mega cell: one per tree edge leaving it.
+RIGHT, DOWN, LEFT, UP = 1, 2, 4, 8
+
+
+def _edge_bits(a: Coord, b: Coord) -> tuple[int, int]:
+    """Mask bits that the normalized edge ``a < b`` sets at ``a`` and at
+    ``b``: right/left for a horizontal edge, down/up for a vertical one."""
+    return (RIGHT, LEFT) if a[1] == b[1] else (DOWN, UP)
+
+
 class SpanningTree:
-    """Undirected tree over spanning-graph nodes."""
+    """Undirected tree over spanning-graph nodes.
+
+    ``masks`` maps every node to the bits (``RIGHT``, ``DOWN``, ``LEFT``,
+    ``UP``) of the tree edges that leave it.
+    """
 
     def __init__(self, nodes: Iterable[Coord], edges: Iterable[Edge]):
         self.nodes = frozenset(nodes)
         self.edges = frozenset(normalize_edge(a, b) for a, b in edges)
-        adj: dict[Coord, list[Coord]] = {n: [] for n in self.nodes}
+        masks = dict.fromkeys(self.nodes, 0)
         for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adj = {n: tuple(sorted(nbs)) for n, nbs in adj.items()}
+            if a not in masks or b not in masks:
+                raise ValueError(f"edge {a}-{b} leaves the tree's nodes")
+            if (b[0] - a[0], b[1] - a[1]) not in ((1, 0), (0, 1)):
+                raise ValueError(f"edge {a}-{b} is not one unit step long")
+            bit_a, bit_b = _edge_bits(a, b)
+            masks[a] |= bit_a
+            masks[b] |= bit_b
+        self.masks = masks
         if len(self.edges) != len(self.nodes) - 1:
             raise ValueError(
                 f"{len(self.edges)} edges for {len(self.nodes)} nodes is not a tree"
             )
-
-    def neighbors(self, node: Coord) -> tuple[Coord, ...]:
-        return self._adj[node]
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -66,6 +82,14 @@ def turn_count(node: Coord, neighbors: Iterable[Coord]) -> int:
     raise ValueError(f"degree {deg} is impossible on a grid")
 
 
+# turn_count of a node by its neighbour mask
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # RIGHT, DOWN, LEFT, UP
+TURNS = tuple(
+    turn_count((0, 0), [s for i, s in enumerate(_STEPS) if mask >> i & 1])
+    for mask in range(16)
+)
+
+
 def edge_cost(edge: Edge, adjacency: dict[Coord, set[Coord]]) -> int:
     """Turn-count delta of adding ``edge`` to the current tree state."""
     a, b = edge
@@ -85,44 +109,54 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     connected components is dropped, an edge whose recomputed cost still
     matches its cached cost is accepted, and anything else is reinserted
     with the fresh cost. Ties break on lexicographic edge order via the
-    heap key.
+    heap key. A cost is :func:`edge_cost`, read off the endpoints'
+    neighbour masks through ``TURNS``.
     """
     parent: dict[Coord, Coord] = {n: n for n in span.nodes}
-
-    def union(a: Coord, b: Coord) -> None:
-        parent[find(parent, a)] = find(parent, b)
-
-    tree_edges: set[Edge] = set()
-    adjacency: dict[Coord, set[Coord]] = {n: set() for n in span.nodes}
+    masks = dict.fromkeys(span.nodes, 0)
+    tree_edges: list[Edge] = []
+    components = len(span.nodes)
 
     def add_edge(a: Coord, b: Coord) -> None:
-        tree_edges.add(normalize_edge(a, b))
-        adjacency[a].add(b)
-        adjacency[b].add(a)
+        nonlocal components
+        bit_a, bit_b = _edge_bits(a, b)
+        masks[a] |= bit_a
+        masks[b] |= bit_b
+        tree_edges.append((a, b))
+        ra, rb = find(parent, a), find(parent, b)
+        if ra != rb:
+            parent[ra] = rb
+            components -= 1
+
+    def cost(a: Coord, b: Coord) -> int:
+        bit_a, bit_b = _edge_bits(a, b)
+        ma, mb = masks[a], masks[b]
+        return (TURNS[ma | bit_a] - TURNS[ma]
+                + TURNS[mb | bit_b] - TURNS[mb])
 
     for brick in bricks.bricks:
-        for j in range(len(brick) - 1):
-            union(brick[j], brick[j + 1])
-            add_edge(brick[j], brick[j + 1])
+        for a, b in zip(brick, brick[1:]):
+            add_edge(*normalize_edge(a, b))
 
-    heap: list[tuple[int, Edge]] = []
-    for edge in span.edges():
-        if edge not in tree_edges:
-            heapq.heappush(heap, (edge_cost(edge, adjacency), edge))
-
-    components = len({find(parent, n) for n in span.nodes})
+    # every graph edge not yet in the tree, unsorted: the keys
+    # (cost, edge) are unique, so the pops come in sorted order anyway
+    heap = []
+    for a in span.nodes:
+        x, y = a
+        for b, bit in (((x + 1, y), RIGHT), ((x, y + 1), DOWN)):
+            if b in masks and not masks[a] & bit:
+                heap.append((cost(a, b), (a, b)))
+    heapq.heapify(heap)
     while heap and components > 1:
         cached, edge = heapq.heappop(heap)
         a, b = edge
         if find(parent, a) == find(parent, b):
             continue
-        cost = edge_cost(edge, adjacency)
-        if cost == cached:
+        fresh = cost(a, b)
+        if fresh == cached:
             add_edge(a, b)
-            union(a, b)
-            components -= 1
         else:
-            heapq.heappush(heap, (cost, edge))
+            heapq.heappush(heap, (fresh, edge))
 
     if components > 1:
         raise DisconnectedGraphError(
@@ -187,7 +221,7 @@ def tree_turns(tree: SpanningTree) -> int:
     """
     if len(tree.nodes) == 1:
         return 4
-    return sum(turn_count(n, tree.neighbors(n)) for n in tree.nodes)
+    return sum(TURNS[mask] for mask in tree.masks.values())
 
 
 def tree_to_text(tree: SpanningTree) -> str:

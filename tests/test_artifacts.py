@@ -1,4 +1,4 @@
-"""Pinned artifact digests: the CLI's outputs on one fixed map.
+"""Pinned artifact digests: the CLI's outputs on two fixed maps.
 
 Refactors must keep these bytes. A change that alters them on purpose
 regenerates the table with ``PYTHONPATH=src python tests/test_artifacts.py``
@@ -17,6 +17,8 @@ from turncover.cli import main
 MEGA = (12, 12)
 RATIO = 0.15
 SEED = 3
+# the plan-large-* artifacts: long loops and many heap pops in the merge
+LARGE_MEGA = (40, 40)
 
 PINNED = {
     "tile":
@@ -31,6 +33,10 @@ PINNED = {
         "a95c7f5c93e81c4be00288afa8034743a5458fed71aebd9a435ae675d720dc2e",
     "plan-starts":
         "c576b449ca707428a1cc5f7fe267b150fa3344ac55416de470d9245ff5499382",
+    "plan-large-k1":
+        "2e921e521a860d55217eb55e27c99e4897e7f7d04fdd77859352bce215ff346c",
+    "plan-large-k4":
+        "2dcdf3cc650a5968fb3236f603d8365cb1ba6c0b002f2ca0d22b8da3b45b0638",
     "bench-records":
         "ca88ee6d54f48da8e24aa72ab769b19fb8a32c3f905bb13a2fea005b641aec6f",
 }
@@ -54,6 +60,9 @@ def _argv(name: str, map_path: str, starts: list[tuple[int, int]]) -> list[str]:
     if name == "plan-starts":
         flags = [f"--start={x},{y}" for x, y in starts]
         return ["plan", "--map", map_path, "--robots", "3", *flags]
+    if name.startswith("plan-large-k"):
+        robots = name[len("plan-large-k"):]
+        return ["plan", "--map", map_path, "--robots", robots]
     raise KeyError(name)
 
 
@@ -62,7 +71,8 @@ def artifact_digest(name: str, workdir) -> str:
 
     The bench report carries wall times, so only its records count.
     """
-    grid = bench.generate_random_map(MEGA, RATIO, SEED)
+    mega = LARGE_MEGA if name.startswith("plan-large-") else MEGA
+    grid = bench.generate_random_map(mega, RATIO, SEED)
     map_path = workdir / "map.grid"
     map_path.write_text(_map_text(grid))
     out_path = workdir / f"{name}.out"

@@ -108,6 +108,22 @@ class TestRunScenario:
             bench.Scenario("s", grid, tree_method="aco")
 
 
+class TestPlanInputs:
+    def test_start_count_rejected_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(brick_tiling, "min_brick_tiling",
+                            lambda span: calls.append(span))
+        grid = bench.generate_random_map((6, 6), 0.1, 9)
+        free = [(x, y) for y in range(grid.height) for x in range(grid.width)
+                if grid.is_free(x, y)]
+        for k, starts in ((2, free[:1]), (1, free[:3])):
+            with pytest.raises(ValueError, match="starts given for"):
+                pipeline.plan(grid, k=k, starts=starts)
+        with pytest.raises(ValueError, match="exceed loop length"):
+            pipeline.plan(grid, k=4 * len(free) + 1)
+        assert calls == []
+
+
 def test_tables_render():
     grid = bench.generate_random_map((4, 4), 0.1, 2)
     rows = bench.compare_trees([("m", grid)])

@@ -28,6 +28,21 @@ def fig_span():
     return make_span(4, 3, FIG_OBSTACLES)
 
 
+def _reference_segment_graph(span):
+    """The conflict graph as the endpoint buckets build it: index every
+    segment by its two lattice endpoints, join each horizontal with each
+    vertical segment of a bucket, then sort the edge set."""
+    graph = build_segment_graph(span)
+    by_point = {}
+    for seg in graph.segments:
+        for pt in seg.endpoints():
+            by_point.setdefault(pt, {HORIZONTAL: [], VERTICAL: []})[
+                seg.orientation].append(seg.id)
+    edges = {(h, v) for buckets in by_point.values()
+             for h in buckets[HORIZONTAL] for v in buckets[VERTICAL]}
+    return tuple(sorted(edges))
+
+
 class TestSegmentGraph:
     def test_full_3x4_grid_counts(self):
         graph = build_segment_graph(make_span(4, 3))
@@ -64,6 +79,20 @@ class TestSegmentGraph:
                 assert ay == by and bx == ax + 1
             else:
                 assert ax == bx and by == ay + 1
+
+
+    def test_edges_match_endpoint_buckets(self, rng):
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(30)]
+        spans += [fig_span(), make_span(4, 3), make_span(1, 1)]
+        spans += [pipeline.build_component(
+            bench.generate_random_map((20, 20), 0.2, seed), None)
+            for seed in range(3)]
+        for span in spans:
+            graph = build_segment_graph(span)
+            assert graph.edges == _reference_segment_graph(span)
+            segment_order = [s.cells[0] for s in graph.segments]
+            assert segment_order == sorted(segment_order)
 
 
 class TestMaximumMatching:

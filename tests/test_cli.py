@@ -155,6 +155,34 @@ class TestBench:
                 assert err.startswith("usage error:")
                 assert "Traceback" not in err
 
+    def test_non_finite_times(self, strip_map, capsys):
+        # legal flag values whose leg or rotation times leave the float
+        # range: a planning error, never a traceback or time=inf
+        bench = ["bench", "--maps", "1", "--mega", "4,4", "--robots", "2"]
+        cases = [bench + ["--vmax", "1e-320"],
+                 ["bench", "--maps", "1", "--mega", "2,2", "--robots", "100"]]
+        for flag, value in (("--vmax", "1e-320"), ("--omega", "1e-320"),
+                            ("--accel", "1e-320"), ("--d", "1e308")):
+            for robots in ("1", "2"):
+                cases.append(["plan", "--map", strip_map, "--robots", robots,
+                              flag, value])
+        for argv in cases:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("planning error:"), (argv, captured)
+            assert captured.out == ""
+
+    def test_huge_vmax_is_never_reached(self, strip_map, capsys):
+        # v_max ** 2 overflows: every leg is pure acceleration
+        for robots in ("1", "2"):
+            argv = ["plan", "--map", strip_map, "--robots", robots,
+                    "--vmax", "1e308"]
+            assert main(argv) == 0
+            times = [float(line.split()[3][len("time="):])
+                     for line in capsys.readouterr().out.splitlines()]
+            assert len(times) == int(robots)
+            assert all(0 < t < 100 for t in times)
+
     def test_bad_resolution_and_obstacle_ratio(self, strip_map, capsys):
         cases = [["bench", "--maps", "1", "--mega", "2,2", "--d", "0"],
                  ["bench", "--maps", "1", "--mega", "2,2",

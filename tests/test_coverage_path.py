@@ -8,7 +8,6 @@ from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (
     CoverageLoop,
     RobotParams,
-    _signed_area,
     circumnavigate,
     extract_twists,
     leg_time,
@@ -17,6 +16,7 @@ from turncover.coverage_path import (
     path_time,
     turn_term,
 )
+from turncover.grid_map import coverage_nodes_of, normalize_edge
 from turncover.tree_builder import (
     SpanningTree,
     dfs_tree,
@@ -28,6 +28,59 @@ from turncover.tree_builder import (
 from conftest import make_span, random_connected_span
 
 PARAMS = RobotParams()
+
+
+def _signed_area(loop: list) -> int:
+    """Twice the shoelace area; positive for a counterclockwise loop."""
+    total = 0
+    for i, (x1, y1) in enumerate(loop):
+        x2, y2 = loop[(i + 1) % len(loop)]
+        total += x1 * y2 - x2 * y1
+    return total
+
+
+def _reference_loop(tree, start):
+    """The loop as the allowed-moves walk builds it: unit-cell moves
+    inside a mega cell unless they cross the tree drawn through the
+    mega-cell centers, between mega cells only alongside a tree edge;
+    walk the resulting 2-regular graph from ``start`` and reverse the
+    walk if its signed area is negative."""
+    skeleton = set()
+    for (ax, ay), (bx, by) in tree.edges:
+        cx, cy = 2 * ax + 1, 2 * ay + 1
+        if ay == by:
+            skeleton |= {((cx, cy), "h"), ((cx + 1, cy), "h")}
+        else:
+            skeleton |= {((cx, cy), "v"), ((cx, cy + 1), "v")}
+    cover = coverage_nodes_of(tree.nodes)
+    adj = {c: [] for c in cover}
+    for u in cover:
+        for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):
+            if v not in cover:
+                continue
+            mu, mv = (u[0] // 2, u[1] // 2), (v[0] // 2, v[1] // 2)
+            if mu != mv and normalize_edge(mu, mv) not in tree.edges:
+                continue
+            if v[0] == u[0] + 1:
+                crossed = ((u[0] + 1, u[1]), "v")
+            else:
+                crossed = ((u[0], u[1] + 1), "h")
+            if crossed not in skeleton:
+                adj[u].append(v)
+                adj[v].append(u)
+    assert all(len(nbs) == 2 for nbs in adj.values())
+    loop, prev, cur = [start], None, start
+    while True:
+        a, b = adj[cur]
+        nxt = b if a == prev else a
+        if nxt == start:
+            break
+        loop.append(nxt)
+        prev, cur = cur, nxt
+    assert len(loop) == len(adj)
+    if _signed_area(loop) < 0:
+        loop = [loop[0]] + loop[:0:-1]
+    return tuple(loop)
 
 
 class TestCircumnavigate:
@@ -86,6 +139,41 @@ class TestCircumnavigate:
                 start = (2 * min(span.nodes)[0], 2 * min(span.nodes)[1])
                 loop = circumnavigate(tree, start)
                 assert loop_turn_count(loop) == tree_turns(tree)
+
+    def test_matches_allowed_moves_walk(self):
+        # every tree method, several start cells, every quadrant of each
+        rng = random.Random(5)
+        methods = {
+            "tmstc": lambda s: merge_bricks(min_brick_tiling(s), s),
+            "dfs": lambda s: dfs_tree(s, min(s.nodes)),
+            "kruskal": lambda s: kruskal_tree(s, 3),
+        }
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(25)]
+        spans += [pipeline.build_component(
+            bench.generate_random_map((16, 16), 0.1, seed), None)
+            for seed in range(2)]
+        for span in spans:
+            cells = sorted(span.nodes)
+            for name, build in methods.items():
+                tree = build(span)
+                for mx, my in rng.sample(cells, min(3, len(cells))):
+                    for dx in (0, 1):
+                        for dy in (0, 1):
+                            start = (2 * mx + dx, 2 * my + dy)
+                            expected = _reference_loop(tree, start)
+                            loop = circumnavigate(tree, start)
+                            assert loop.nodes == expected, (name, start)
+
+    def test_unclosed_walk_rejected(self):
+        # four edges on five nodes pass the edge count, but the square
+        # is a cycle and (3, 3) hangs loose: the walk closes after 12
+        # of 20 steps
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        tree = SpanningTree(square + [(3, 3)],
+                            list(zip(square, square[1:] + square[:1])))
+        with pytest.raises(AssertionError, match="did not close"):
+            circumnavigate(tree, (0, 0))
 
 
 class TestExtractTwists:

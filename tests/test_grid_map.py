@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from turncover.grid_map import (
@@ -113,6 +115,25 @@ class TestBuildSpanningGraph:
     def test_all_blocked_rejected(self):
         with pytest.raises(MapFormatError):
             build_spanning_graph(GridMap(2, 2, (True,) * 4))
+
+    def test_matches_per_block_is_free(self):
+        rng = random.Random(11)
+        for w, h in [(2, 2), (3, 3), (5, 4), (8, 7), (9, 9), (12, 5)]:
+            for ratio in (0.05, 0.2):
+                cells = tuple(rng.random() < ratio for _ in range(w * h))
+                grid = GridMap(w, h, cells)
+                expected = frozenset(
+                    (mx, my)
+                    for my in range((h + 1) // 2)
+                    for mx in range((w + 1) // 2)
+                    if all(grid.is_free(x, y)
+                           for x, y in coverage_nodes_of([(mx, my)])))
+                if not expected:
+                    continue
+                span = build_spanning_graph(grid)
+                assert span.nodes == expected
+                assert (span.mega_width, span.mega_height) == (
+                    (w + 1) // 2, (h + 1) // 2)
 
 
 def two_region_span():

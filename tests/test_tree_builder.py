@@ -3,9 +3,15 @@ import random
 
 import pytest
 
+from turncover import bench, pipeline
 from turncover.brick_tiling import BrickSet, min_brick_tiling
 from turncover.grid_map import DisconnectedGraphError, normalize_edge
 from turncover.tree_builder import (
+    DOWN,
+    LEFT,
+    RIGHT,
+    TURNS,
+    UP,
     SpanningTree,
     dfs_tree,
     edge_cost,
@@ -37,6 +43,14 @@ class TestTurnCount:
     def test_unconnected_node_counts_as_endpoint(self):
         assert turn_count((0, 0), []) == 2
 
+    def test_mask_table_equals_turn_count(self):
+        steps = {RIGHT: (1, 0), DOWN: (0, 1), LEFT: (-1, 0), UP: (0, -1)}
+        for mask in range(16):
+            node = (5, 7)
+            nbs = [(node[0] + dx, node[1] + dy)
+                   for bit, (dx, dy) in steps.items() if mask & bit]
+            assert TURNS[mask] == turn_count(node, nbs)
+
 
 class TestEdgeCost:
     def test_collinear_join_saves_four(self):
@@ -66,7 +80,59 @@ class TestEdgeCost:
                 assert edge_cost(edge, adjacency) in (-4, -2, 0, 2, 4)
 
 
+def _reference_merge(bricks, span):
+    """The greedy merge on neighbour sets: push every non-brick edge with
+    its :func:`edge_cost`, then pop, drop, accept or re-push as
+    :func:`merge_bricks` documents."""
+    parent = {n: n for n in span.nodes}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    adjacency = {n: set() for n in span.nodes}
+    tree_edges = set()
+    for brick in bricks.bricks:
+        for a, b in zip(brick, brick[1:]):
+            parent[find(a)] = find(b)
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+            tree_edges.add(normalize_edge(a, b))
+    heap = []
+    for edge in span.edges():
+        if edge not in tree_edges:
+            heapq.heappush(heap, (edge_cost(edge, adjacency), edge))
+    components = len({find(n) for n in span.nodes})
+    while heap and components > 1:
+        cached, edge = heapq.heappop(heap)
+        a, b = edge
+        if find(a) == find(b):
+            continue
+        cost = edge_cost(edge, adjacency)
+        if cost == cached:
+            tree_edges.add(edge)
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+            parent[find(a)] = find(b)
+            components -= 1
+        else:
+            heapq.heappush(heap, (cost, edge))
+    return frozenset(tree_edges)
+
+
 class TestMergeBricks:
+    def test_matches_neighbour_set_merge(self, rng):
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(30)]
+        spans += [pipeline.build_component(
+            bench.generate_random_map((20, 20), ratio, seed), None)
+            for seed, ratio in ((0, 0.1), (1, 0.2), (2, 0.3))]
+        for span in spans:
+            bricks = min_brick_tiling(span)
+            tree = merge_bricks(bricks, span)
+            assert tree.edges == _reference_merge(bricks, span)
+
     def test_single_brick_is_its_chain(self):
         span = make_span(4, 1)
         bricks = min_brick_tiling(span)
@@ -157,6 +223,24 @@ def audit_greedy_is_locally_optimal(span, bricks, tree):
         remaining.discard(accepted)
 
 
+class TestSpanningTree:
+    def test_masks_record_leaving_edges(self):
+        tree = SpanningTree([(0, 0), (1, 0), (1, 1)],
+                            [((1, 1), (1, 0)), ((0, 0), (1, 0))])
+        assert tree.masks == {(0, 0): RIGHT, (1, 0): LEFT | DOWN,
+                              (1, 1): UP}
+
+    def test_edge_off_the_nodes_rejected(self):
+        with pytest.raises(ValueError, match="leaves the tree's nodes"):
+            SpanningTree([(0, 0), (1, 0)], [((0, 0), (0, 1))])
+
+    def test_edge_longer_than_one_step_rejected(self):
+        for a, b in (((0, 0), (2, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)),
+                     ((0, 0), (0, 0))):
+            with pytest.raises(ValueError, match="one unit step"):
+                SpanningTree({a, b}, [(a, b)])
+
+
 class TestBaselineTrees:
     def test_dfs_strip(self):
         span = make_span(5, 1)
@@ -198,6 +282,21 @@ class TestTreeTurns:
 
     def test_single_node(self):
         assert tree_turns(SpanningTree([(0, 0)], [])) == 4
+
+    def test_sum_of_turn_count_over_neighbours(self, rng):
+        for _ in range(20):
+            span = random_connected_span(rng, max_dim=8, max_cells=40)
+            if len(span.nodes) == 1:
+                continue
+            for tree in (merge_bricks(min_brick_tiling(span), span),
+                         dfs_tree(span, min(span.nodes)),
+                         kruskal_tree(span, 1)):
+                nbs = {n: [] for n in tree.nodes}
+                for a, b in tree.edges:
+                    nbs[a].append(b)
+                    nbs[b].append(a)
+                assert tree_turns(tree) == sum(
+                    turn_count(n, nbs[n]) for n in tree.nodes)
 
     def test_better_tree_fewer_turns(self):
         # same region, few long bricks vs many short ones
