@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
+from operator import ne, sub
 
 from .coverage_path import (
     CoverageLoop,
@@ -96,15 +97,35 @@ def _arc_sequences(
     size = len(loop)
     if arc_length < 1 or arc_length > size:
         raise ValueError(f"bad arc length {arc_length}")
-    idx = [(arc_start + t) % size for t in range(arc_length)]
-    try:
-        p = idx.index(anchor)
-    except ValueError:
-        raise ValueError(f"anchor {anchor} outside arc") from None
-    nodes = [loop.nodes[i] for i in idx]
+    first = arc_start % size
+    p = (anchor - first) % size
+    if not (0 <= anchor < size and p < arc_length):
+        raise ValueError(f"anchor {anchor} outside arc")
+    end = first + arc_length
+    nodes = list(loop.nodes[first:end])
+    if end > size:
+        nodes += loop.nodes[:end - size]
     seq_a = nodes[p::-1] + nodes[1:]          # near start end first
     seq_b = nodes[p:] + nodes[-2::-1]         # far end first
     return [seq_a, seq_b]
+
+
+def _sweep_twists(seq: list[Coord]) -> TwistSet:
+    """:func:`extract_twists` of a sequence of 4-adjacent cells, with the
+    heading changes found from coordinate deltas in bulk."""
+    n = len(seq)
+    if n < 3:
+        return extract_twists(seq)
+    # a unit step changes 4x + y by 4dx + dy, one value per heading
+    code = [4 * x + y for x, y in seq]
+    step = list(map(sub, code[1:], code))
+    indices = [0]
+    for i in compress(range(1, n - 1), map(ne, step, step[1:])):
+        indices.append(i)
+        if step[i] == -step[i - 1]:  # a reversal counts twice
+            indices.append(i)
+    indices.append(n - 1)
+    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
 
 
 def arc_cost(
@@ -368,13 +389,13 @@ def balance_partition(
         if k == 1:
             # the whole loop one way from the anchor; reversing only adds
             seq = near
-            twists = extract_twists(seq)
+            twists = _sweep_twists(seq)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
             seq = near if near_first else far
-            twists = extract_twists(seq)
+            twists = _sweep_twists(seq)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,

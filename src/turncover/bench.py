@@ -70,8 +70,12 @@ def generate_random_map(
     n_obstacles = int(mw * mh * obstacle_ratio)
     for _ in range(max_attempts):
         occupied = set(rng.sample(cells_all, n_obstacles))
-        free = {c for c in cells_all if c not in occupied}
-        if free and len(flood_fill(free, min(free))) == len(free):
+        free = bytearray(mw * mh)  # flat layout, stride mh
+        for x, y in cells_all:
+            if (x, y) not in occupied:
+                free[x * mh + y] = 1
+        n_free = mw * mh - n_obstacles
+        if n_free and len(flood_fill(free, mh, free.index(1))) == n_free:
             occupied_units = coverage_nodes_of(occupied)
             cells = tuple(
                 (x, y) in occupied_units

@@ -14,15 +14,17 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import NamedTuple
 
-from .grid_map import Coord, SpanningGraph, find
+from .grid_map import Coord, SpanningGraph
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
+_RIGHT, _DOWN = 1, 2  # a cell's deleted border, in tiling_from_independent_set
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Border between two adjacent free mega cells.
 
     A vertical segment separates horizontally adjacent cells and vice
@@ -70,32 +72,44 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     The horizontal border below ``(x, y)`` ends at the lattice points
     ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
     vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
-    ``(x, y)`` and ``(x, y + 1)``. Ids follow ``sorted_nodes()``, so those
-    come in ascending id order and the edges come out sorted.
+    ``(x, y)`` and ``(x, y + 1)``: ids ``i - H``, ``i - H + 1``, ``i``
+    and ``i + 1`` from the cell's id ``i``. Segment ids follow the node
+    ids, so those come in ascending order and the edges come out sorted.
     """
-    nodes = span.nodes
+    height = span.mega_height
+    free = span.free
+    n = len(free)
     segments: list[Segment] = []
-    below: list[tuple[int, int, int]] = []  # (id, x, y) of horizontal ones
-    right_of: dict[Coord, int] = {}  # cell -> id of the vertical one
-    for x, y in span.sorted_nodes():
-        if (x, y + 1) in nodes:
-            below.append((len(segments), x, y))
+    below: list[tuple[int, int]] = []  # (segment id, cell id) of horizontal ones
+    right_of = [-1] * (n + height)  # cell id + H -> id of the vertical one
+    for i in span.ids:
+        x, y = divmod(i, height)
+        if y + 1 < height and free[i + 1]:
+            below.append((len(segments), i))
             segments.append(
                 Segment(len(segments), HORIZONTAL, ((x, y), (x, y + 1)))
             )
-        if (x + 1, y) in nodes:
-            right_of[x, y] = len(segments)
+        if i + height < n and free[i + height]:
+            right_of[i + height] = len(segments)
             segments.append(
                 Segment(len(segments), VERTICAL, ((x, y), (x + 1, y)))
             )
     edges = []
-    get = right_of.get
-    for h, x, y in below:
-        for cell in ((x - 1, y), (x - 1, y + 1), (x, y), (x, y + 1)):
-            v = get(cell)
-            if v is not None:
+    for h, i in below:
+        for v in (right_of[i], right_of[i + 1],
+                  right_of[i + height], right_of[i + height + 1]):
+            if v >= 0:
                 edges.append((h, v))
     return SegmentGraph(tuple(segments), tuple(edges))
+
+
+def _adjacency(graph: SegmentGraph) -> list[list[int]]:
+    """Vertical neighbours of every horizontal segment, by id, ascending
+    (``graph.edges`` is sorted)."""
+    adj: list[list[int]] = [[] for _ in graph.segments]
+    for h, v in graph.edges:
+        adj[h].append(v)
+    return adj
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
@@ -116,9 +130,7 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     """
     n = len(graph.segments)
     h_ids = graph.horizontal_ids()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for h, v in graph.edges:
-        adj[h].append(v)
+    adj = _adjacency(graph)
     match_h = [-1] * n
     match_v = [-1] * n
     for h in h_ids:
@@ -179,31 +191,34 @@ def max_independent_set(
 ) -> frozenset[int]:
     """Koenig construction: alternating-path reachability from unmatched
     horizontal vertices yields the minimum vertex cover; its complement
-    is a maximum independent set of size |segments| - |matching|."""
-    match_h = {h: v for h, v in matching}
-    match_v = {v: h for h, v in matching}
-    adj_h: dict[int, list[int]] = {h: [] for h in graph.horizontal_ids()}
-    for h, v in sorted(graph.edges):
-        adj_h[h].append(v)
-    reachable: set[int] = set()
-    frontier = [h for h in graph.horizontal_ids() if h not in match_h]
-    reachable.update(frontier)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for v in adj_h[h]:
-                if v in reachable or match_h.get(h) == v:
-                    continue
-                reachable.add(v)
-                back = match_v.get(v)
-                if back is not None and back not in reachable:
-                    reachable.add(back)
-                    nxt.append(back)
-        frontier = nxt
-    h_ids = set(graph.horizontal_ids())
-    v_ids = set(graph.vertical_ids())
-    cover = (h_ids - reachable) | (v_ids & reachable)
-    return frozenset((h_ids | v_ids) - cover)
+    is a maximum independent set of size |segments| - |matching|.
+
+    The cover is the unreached horizontal and the reached vertical
+    segments, so the set keeps the reached horizontal and the unreached
+    vertical ones. One BFS over flat lists by segment id.
+    """
+    n = len(graph.segments)
+    adj = _adjacency(graph)
+    match_h = [-1] * n
+    match_v = [-1] * n
+    for h, v in matching:
+        match_h[h], match_v[v] = v, h
+    reached = bytearray(n)
+    frontier = [h for h in graph.horizontal_ids() if match_h[h] < 0]
+    for h in frontier:
+        reached[h] = 1
+    for h in frontier:  # grows while it is read
+        for v in adj[h]:
+            if not reached[v]:
+                reached[v] = 1
+                back = match_v[v]
+                if back >= 0 and not reached[back]:
+                    reached[back] = 1
+                    frontier.append(back)
+    return frozenset(
+        s.id for s in graph.segments
+        if (s.orientation == HORIZONTAL) == bool(reached[s.id])
+    )
 
 
 def tiling_from_independent_set(
@@ -213,43 +228,45 @@ def tiling_from_independent_set(
 
     Independence guarantees every merged block is a straight brick and
     that the brick count R equals free cells S minus deleted borders T;
-    a failure of either means the input set was not independent.
+    a failure of either means the input set was not independent. Each
+    brick is read as a run of deleted borders from its first cell, and
+    the first cells are met in row-major order, which is brick order.
     """
-    parent: dict[Coord, Coord] = {c: c for c in span.nodes}
+    height = span.mega_height
+    free = span.free
+    n = len(free)
+    link = bytearray(n)  # per cell id: the border deleted right or below
     for seg_id in keep:
-        a, b = graph.segments[seg_id].cells
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[Coord, list[Coord]] = {}
-    for cell in span.sorted_nodes():
-        groups.setdefault(find(parent, cell), []).append(cell)
+        seg = graph.segments[seg_id]
+        x, y = seg.cells[0]
+        link[x * height + y] |= _RIGHT if seg.orientation == VERTICAL else _DOWN
+    todo = bytearray(free)
     bricks = []
-    for cells in groups.values():
-        xs = {c[0] for c in cells}
-        ys = {c[1] for c in cells}
-        if len(xs) == 1:
-            cells.sort(key=lambda c: c[1])
-            straight = all(
-                cells[i + 1][1] == cells[i][1] + 1 for i in range(len(cells) - 1)
-            )
-        elif len(ys) == 1:
-            cells.sort(key=lambda c: c[0])
-            straight = all(
-                cells[i + 1][0] == cells[i][0] + 1 for i in range(len(cells) - 1)
-            )
-        else:
-            straight = False
-        if not straight:
-            raise ValueError(
-                f"merged block {cells} is not a straight brick; the kept "
-                "border set was not independent"
-            )
-        bricks.append(tuple(cells))
+    for y in range(height):
+        for i in compress(range(y, n, height), free[y::height]):
+            if not todo[i]:
+                continue
+            todo[i] = 0
+            kind = link[i]
+            stride = height if kind == _RIGHT else 1
+            j = i
+            while link[j]:
+                if link[j] != kind or kind == _RIGHT | _DOWN or not todo[j + stride]:
+                    raise ValueError(
+                        f"merged block through {divmod(j, height)} is not a "
+                        "straight brick; the kept border set was not "
+                        "independent"
+                    )
+                j += stride
+                todo[j] = 0
+            x, size = i // height, (j - i) // stride + 1
+            if kind == _DOWN:
+                bricks.append(tuple(zip(repeat(x, size), range(y, y + size))))
+            else:
+                bricks.append(tuple(zip(range(x, x + size), repeat(y, size))))
     s, t, r = len(span.nodes), len(keep), len(bricks)
     if r != s - t:
         raise ValueError(f"tiling identity violated: R={r} S={s} T={t}")
-    bricks.sort(key=lambda b: (b[0][1], b[0][0]))
     return BrickSet(tuple(bricks))
 
 

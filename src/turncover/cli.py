@@ -105,12 +105,17 @@ def cmd_tree(args) -> int:
 
 def plan_record_text(result: pipeline.PlanResult, d: float) -> str:
     """One line per robot: id, anchored loop index, twist count, time
-    (3 decimals), then metric waypoints as x:y pairs."""
+    (3 decimals), then metric waypoints as x:y pairs.
+
+    Each unit-cell coordinate is formatted once: the waypoints join the
+    strings of their x and y.
+    """
+    span = result.span
+    text = [f"{(c + 0.5) * d:.3f}"
+            for c in range(2 * max(span.mega_width, span.mega_height))]
     lines = []
     for robot in result.plan.robots:
-        waypoints = " ".join(
-            f"{(x + 0.5) * d:.3f}:{(y + 0.5) * d:.3f}" for x, y in robot.sequence
-        )
+        waypoints = " ".join([text[x] + ":" + text[y] for x, y in robot.sequence])
         lines.append(
             f"robot={robot.robot_id} anchor={robot.anchored} "
             f"twists={robot.twists.n} time={robot.time:.3f} "

@@ -84,16 +84,16 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     exactly 4N steps has visited 4N distinct cells; any other outcome
     means the tree was not connected.
     """
-    masks = tree.masks
+    height, masks = tree.height, tree.flat_masks
     sx, sy = start
-    if (sx >> 1, sy >> 1) not in masks:
+    if (sx >> 1, sy >> 1) not in tree.nodes:
         raise ValueError(f"start {start} lies outside the tree's mega cells")
-    n = 4 * len(masks)
+    n = 4 * len(tree.nodes)
     nodes = [start]
     append = nodes.append
     x, y = start
     for _ in range(n):
-        mask = masks[x >> 1, y >> 1]
+        mask = masks[(x >> 1) * height + (y >> 1)]
         if y & 1:
             if x & 1:  # bottom-right
                 if mask & DOWN:

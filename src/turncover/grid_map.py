@@ -6,13 +6,19 @@ node only when all four of its unit cells are free, so every spanning
 node stands for exactly four coverage nodes (``coverage_nodes_of``).
 
 Coordinates are (x=column, y=row) with the origin at the top-left;
-serialization is row-major.
+serialization is row-major. Inside, the geometry stages number mega
+cells by flat id ``x * H + y``, H being the mega height: ascending ids
+are ascending coordinate tuples, the neighbours of id ``i`` are
+``i +- 1`` (same column) and ``i +- H`` (same row), and per-node state
+lives in flat lists and bytearrays instead of tuple-keyed dicts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 Coord = tuple[int, int]
 Edge = tuple[Coord, Coord]
@@ -34,25 +40,32 @@ def normalize_edge(a: Coord, b: Coord) -> Edge:
     return (a, b) if a <= b else (b, a)
 
 
-def find(parent: dict[Coord, Coord], node: Coord) -> Coord:
-    """Union-find root of ``node``, halving the path on the way up."""
+def find(parent, node):
+    """Union-find root of ``node``, halving the path on the way up;
+    ``parent`` is a list by node id or a dict by node."""
     while parent[node] != node:
         parent[node] = parent[parent[node]]
         node = parent[node]
     return node
 
 
-def flood_fill(nodes: frozenset[Coord] | set[Coord], root: Coord) -> set[Coord]:
-    """Cells of ``nodes`` reachable from ``root`` by 4-adjacent steps."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        x, y = stack.pop()
-        for nb in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-            if nb in nodes and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
+def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
+    """Ids 4-connected to ``root`` through the ids flagged in ``todo``,
+    a flat layout of stride ``height``; clears their flags as it goes."""
+    n = len(todo)
+    todo[root] = 0
+    reached = [root]
+    for i in reached:  # grows while it is read
+        y = i % height
+        # a neighbour off the grid reads the root, whose flag is clear
+        for j in (i + height if i + height < n else root,
+                  i + 1 if y + 1 < height else root,
+                  i - height if i >= height else root,
+                  i - 1 if y else root):
+            if todo[j]:
+                todo[j] = 0
+                reached.append(j)
+    return reached
 
 
 @dataclass(frozen=True)
@@ -104,28 +117,38 @@ class SpanningGraph:
     mega_height: int
     nodes: frozenset[Coord]
     resolution_d: float = 0.5
-    _adj: dict[Coord, tuple[Coord, ...]] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        adj: dict[Coord, tuple[Coord, ...]] = {}
+    @cached_property
+    def free(self) -> bytes:
+        """Flat layout of the nodes: ``free[x * mega_height + y]`` is 1
+        for a node and 0 elsewhere."""
+        width, height = self.mega_width, self.mega_height
+        flags = bytearray(width * height)
         for x, y in self.nodes:
-            # fixed scan order: right, down, left, up
-            candidates = ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
-            adj[(x, y)] = tuple(c for c in candidates if c in self.nodes)
-        object.__setattr__(self, "_adj", adj)
+            if not (0 <= x < width and 0 <= y < height):
+                raise ValueError(
+                    f"node {(x, y)} lies outside the {width}x{height} grid"
+                )
+            flags[x * height + y] = 1
+        return bytes(flags)
+
+    @cached_property
+    def ids(self) -> list[int]:
+        """Node ids ``x * mega_height + y`` ascending, which is
+        ``sorted_nodes()`` order."""
+        return list(compress(range(len(self.free)), self.free))
 
     def neighbors(self, node: Coord) -> tuple[Coord, ...]:
-        return self._adj[node]
+        """Adjacent nodes in the fixed scan order right, down, left, up."""
+        x, y = node
+        return tuple(c for c in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
+                     if c in self.nodes)
 
     def edges(self) -> list[Edge]:
         """All undirected edges, sorted for determinism."""
-        out = []
-        for node in self.nodes:
-            for nb in self._adj[node]:
-                if node < nb:
-                    out.append((node, nb))
+        nodes = self.nodes
+        out = [((x, y), nb) for x, y in nodes
+               for nb in ((x + 1, y), (x, y + 1)) if nb in nodes]
         out.sort()
         return out
 
@@ -252,32 +275,41 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
 
     With no seeds the graph must already be a single component. Seeds in
     different components raise ``DisconnectedGraphError`` naming them.
+    One flood fill runs from the first seed, or from the least node;
+    components are labelled, in the order of their least nodes, only to
+    word an error.
     """
     for seed in seeds:
         if seed not in span.nodes:
             raise DisconnectedGraphError(f"seed {seed} is not a free mega cell")
-    components: list[set[Coord]] = []
-    unseen = set(span.nodes)
-    while unseen:
-        comp = flood_fill(span.nodes, min(unseen))
-        unseen -= comp
-        components.append(comp)
-
-    if not seeds:
-        if len(components) > 1:
-            raise DisconnectedGraphError(
-                f"map splits into {len(components)} components and no seeds "
-                "were given to pick one"
-            )
+    if not span.nodes:
         return span
+    height = span.mega_height
+    seed_ids = [x * height + y for x, y in seeds]
+    todo = bytearray(span.free)
+    comp = flood_fill(todo, height, seed_ids[0] if seeds else span.ids[0])
+    if len(comp) == len(span.nodes):
+        return span
+    if seeds and not any(todo[i] for i in seed_ids):
+        return SpanningGraph(
+            span.mega_width, height,
+            frozenset(divmod(i, height) for i in comp), span.resolution_d,
+        )
 
-    homes = {seed: next(i for i, c in enumerate(components) if seed in c)
-             for seed in seeds}
-    if len(set(homes.values())) > 1:
-        offenders = sorted(homes.items(), key=lambda kv: kv[1])
-        detail = ", ".join(f"{seed} in component {idx}" for seed, idx in offenders)
-        raise DisconnectedGraphError(f"seeds span multiple components: {detail}")
-    comp = components[next(iter(homes.values()))]
-    return SpanningGraph(
-        span.mega_width, span.mega_height, frozenset(comp), span.resolution_d
-    )
+    label = [-1] * len(todo)
+    todo = bytearray(span.free)
+    count = 0
+    for i in span.ids:
+        if todo[i]:
+            for j in flood_fill(todo, height, i):
+                label[j] = count
+            count += 1
+    if not seeds:
+        raise DisconnectedGraphError(
+            f"map splits into {count} components and no seeds "
+            "were given to pick one"
+        )
+    homes = {seed: label[i] for seed, i in zip(seeds, seed_ids)}
+    offenders = sorted(homes.items(), key=lambda kv: kv[1])
+    detail = ", ".join(f"{seed} in component {idx}" for seed, idx in offenders)
+    raise DisconnectedGraphError(f"seeds span multiple components: {detail}")

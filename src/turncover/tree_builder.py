@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable
+from functools import cached_property
 
 from .brick_tiling import BrickSet
 from .grid_map import (
@@ -35,27 +36,59 @@ def _edge_bits(a: Coord, b: Coord) -> tuple[int, int]:
 class SpanningTree:
     """Undirected tree over spanning-graph nodes.
 
-    ``masks`` maps every node to the bits (``RIGHT``, ``DOWN``, ``LEFT``,
-    ``UP``) of the tree edges that leave it.
+    ``flat_masks`` holds, by node id ``x * height + y`` (0 at ids off the
+    tree), the bits (``RIGHT``, ``DOWN``, ``LEFT``, ``UP``) of the tree
+    edges that leave each node; the walk and the turn count read it.
+    ``masks`` maps every node to the same bits. ``masks``, and the
+    ``edges`` of a tree built by :func:`merge_bricks`, are derived from
+    ``flat_masks`` on first use.
     """
 
     def __init__(self, nodes: Iterable[Coord], edges: Iterable[Edge]):
         self.nodes = frozenset(nodes)
         self.edges = frozenset(normalize_edge(a, b) for a, b in edges)
-        masks = dict.fromkeys(self.nodes, 0)
+        if min((min(node) for node in self.nodes), default=0) < 0:
+            raise ValueError("tree nodes need nonnegative coordinates")
+        self.height = height = 1 + max((y for _, y in self.nodes), default=0)
+        self.flat_masks = flat = bytearray(
+            height * (1 + max((x for x, _ in self.nodes), default=0)))
         for a, b in self.edges:
-            if a not in masks or b not in masks:
+            if a not in self.nodes or b not in self.nodes:
                 raise ValueError(f"edge {a}-{b} leaves the tree's nodes")
             if (b[0] - a[0], b[1] - a[1]) not in ((1, 0), (0, 1)):
                 raise ValueError(f"edge {a}-{b} is not one unit step long")
             bit_a, bit_b = _edge_bits(a, b)
-            masks[a] |= bit_a
-            masks[b] |= bit_b
-        self.masks = masks
+            flat[a[0] * height + a[1]] |= bit_a
+            flat[b[0] * height + b[1]] |= bit_b
         if len(self.edges) != len(self.nodes) - 1:
             raise ValueError(
                 f"{len(self.edges)} edges for {len(self.nodes)} nodes is not a tree"
             )
+
+    @classmethod
+    def _from_flat(cls, nodes: frozenset[Coord], height: int,
+                   flat_masks: bytearray) -> SpanningTree:
+        """A tree from masks its caller has already checked."""
+        tree = cls.__new__(cls)
+        tree.nodes, tree.height, tree.flat_masks = nodes, height, flat_masks
+        return tree
+
+    @cached_property
+    def masks(self) -> dict[Coord, int]:
+        height, flat = self.height, self.flat_masks
+        return {(x, y): flat[x * height + y] for x, y in self.nodes}
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        height, flat = self.height, self.flat_masks
+        out = []
+        for x, y in self.nodes:
+            mask = flat[x * height + y]
+            if mask & RIGHT:
+                out.append(((x, y), (x + 1, y)))
+            if mask & DOWN:
+                out.append(((x, y), (x, y + 1)))
+        return frozenset(out)
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -109,60 +142,79 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     connected components is dropped, an edge whose recomputed cost still
     matches its cached cost is accepted, and anything else is reinserted
     with the fresh cost. Ties break on lexicographic edge order via the
-    heap key. A cost is :func:`edge_cost`, read off the endpoints'
-    neighbour masks through ``TURNS``.
+    heap key ``(cost, a, b)`` of node ids ``a < b``, which sorts as
+    ``(cost, (a, b))`` of coordinates does. A cost is :func:`edge_cost`,
+    read off the endpoints' neighbour masks through ``TURNS``.
     """
-    parent: dict[Coord, Coord] = {n: n for n in span.nodes}
-    masks = dict.fromkeys(span.nodes, 0)
-    tree_edges: list[Edge] = []
+    height = span.mega_height
+    free = span.free
+    n = len(free)
+    parent = list(range(n))
+    masks = bytearray(n)
     components = len(span.nodes)
 
-    def add_edge(a: Coord, b: Coord) -> None:
-        nonlocal components
-        bit_a, bit_b = _edge_bits(a, b)
-        masks[a] |= bit_a
-        masks[b] |= bit_b
-        tree_edges.append((a, b))
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            components -= 1
-
-    def cost(a: Coord, b: Coord) -> int:
-        bit_a, bit_b = _edge_bits(a, b)
+    def cost(a: int, b: int) -> int:
         ma, mb = masks[a], masks[b]
-        return (TURNS[ma | bit_a] - TURNS[ma]
-                + TURNS[mb | bit_b] - TURNS[mb])
+        if b - a == height:
+            return TURNS[ma | RIGHT] - TURNS[ma] + TURNS[mb | LEFT] - TURNS[mb]
+        return TURNS[ma | DOWN] - TURNS[ma] + TURNS[mb | UP] - TURNS[mb]
+
+    def join(a: int, b: int, ra: int, rb: int) -> None:
+        """Put the edge between node ids ``a < b``, whose roots are
+        ``ra != rb``, into the tree."""
+        nonlocal components
+        if b - a == height:
+            masks[a] |= RIGHT
+            masks[b] |= LEFT
+        else:
+            masks[a] |= DOWN
+            masks[b] |= UP
+        parent[ra] = rb
+        components -= 1
 
     for brick in bricks.bricks:
-        for a, b in zip(brick, brick[1:]):
-            add_edge(*normalize_edge(a, b))
+        cells = [x * height + y for x, y in brick]
+        for a, b in zip(cells, cells[1:]):
+            if a > b:
+                a, b = b, a
+            if not (b - a == height or (b - a == 1 and b % height)):
+                raise ValueError(f"brick edge {divmod(a, height)}-"
+                                 f"{divmod(b, height)} is not one unit step")
+            if not (free[a] and free[b]):
+                raise ValueError(f"brick edge {divmod(a, height)}-"
+                                 f"{divmod(b, height)} leaves the graph")
+            ra, rb = find(parent, a), find(parent, b)
+            if ra == rb:
+                raise ValueError("brick edges close a cycle")
+            join(a, b, ra, rb)
 
     # every graph edge not yet in the tree, unsorted: the keys
-    # (cost, edge) are unique, so the pops come in sorted order anyway
+    # (cost, a, b) are unique, so the pops come in sorted order anyway
     heap = []
-    for a in span.nodes:
-        x, y = a
-        for b, bit in (((x + 1, y), RIGHT), ((x, y + 1), DOWN)):
-            if b in masks and not masks[a] & bit:
-                heap.append((cost(a, b), (a, b)))
+    for a in span.ids:
+        b = a + height
+        if b < n and free[b] and not masks[a] & RIGHT:
+            heap.append((cost(a, b), a, b))
+        b = a + 1
+        if b % height and free[b] and not masks[a] & DOWN:
+            heap.append((cost(a, b), a, b))
     heapq.heapify(heap)
     while heap and components > 1:
-        cached, edge = heapq.heappop(heap)
-        a, b = edge
-        if find(parent, a) == find(parent, b):
+        cached, a, b = heapq.heappop(heap)
+        ra, rb = find(parent, a), find(parent, b)
+        if ra == rb:
             continue
         fresh = cost(a, b)
         if fresh == cached:
-            add_edge(a, b)
+            join(a, b, ra, rb)
         else:
-            heapq.heappush(heap, (fresh, edge))
+            heapq.heappush(heap, (fresh, a, b))
 
     if components > 1:
         raise DisconnectedGraphError(
             "spanning graph is disconnected; cannot merge into one tree"
         )
-    return SpanningTree(span.nodes, tree_edges)
+    return SpanningTree._from_flat(span.nodes, height, masks)
 
 
 def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
@@ -221,7 +273,8 @@ def tree_turns(tree: SpanningTree) -> int:
     """
     if len(tree.nodes) == 1:
         return 4
-    return sum(TURNS[mask] for mask in tree.masks.values())
+    # every node of a larger tree has an edge, so a 0 mask is off the tree
+    return sum(TURNS[mask] for mask in tree.flat_masks if mask)
 
 
 def tree_to_text(tree: SpanningTree) -> str:

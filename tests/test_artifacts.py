@@ -1,4 +1,4 @@
-"""Pinned artifact digests: the CLI's outputs on two fixed maps.
+"""Pinned artifact digests: the CLI's outputs on three fixed maps.
 
 Refactors must keep these bytes. A change that alters them on purpose
 regenerates the table with ``PYTHONPATH=src python tests/test_artifacts.py``
@@ -19,6 +19,9 @@ RATIO = 0.15
 SEED = 3
 # the plan-large-* artifacts: long loops and many heap pops in the merge
 LARGE_MEGA = (40, 40)
+# the *-scale artifacts: a benchmark-sized map, where flat-id off-by-H
+# faults show up
+SCALE_MAP = ((80, 80), 0.1, 7)
 
 PINNED = {
     "tile":
@@ -37,6 +40,10 @@ PINNED = {
         "2e921e521a860d55217eb55e27c99e4897e7f7d04fdd77859352bce215ff346c",
     "plan-large-k4":
         "2dcdf3cc650a5968fb3236f603d8365cb1ba6c0b002f2ca0d22b8da3b45b0638",
+    "tile-scale":
+        "45af65db92bb6e4f5a773e31c1d083b96192ba776980104454dc7f5200b51b44",
+    "plan-scale-k1":
+        "f6299e263e8f736ee05d0edcaa7e35f2be8c55772d63e2279481854d1fd066b5",
     "bench-records":
         "ca88ee6d54f48da8e24aa72ab769b19fb8a32c3f905bb13a2fea005b641aec6f",
 }
@@ -51,7 +58,7 @@ def _map_text(grid) -> str:
 
 
 def _argv(name: str, map_path: str, starts: list[tuple[int, int]]) -> list[str]:
-    if name == "tile":
+    if name in ("tile", "tile-scale"):
         return ["tile", "--map", map_path]
     if name.startswith("tree-"):
         return ["tree", "--map", map_path, "--method", name[len("tree-"):]]
@@ -60,8 +67,8 @@ def _argv(name: str, map_path: str, starts: list[tuple[int, int]]) -> list[str]:
     if name == "plan-starts":
         flags = [f"--start={x},{y}" for x, y in starts]
         return ["plan", "--map", map_path, "--robots", "3", *flags]
-    if name.startswith("plan-large-k"):
-        robots = name[len("plan-large-k"):]
+    if name.startswith(("plan-large-k", "plan-scale-k")):
+        robots = name.rsplit("-k", 1)[1]
         return ["plan", "--map", map_path, "--robots", robots]
     raise KeyError(name)
 
@@ -71,8 +78,11 @@ def artifact_digest(name: str, workdir) -> str:
 
     The bench report carries wall times, so only its records count.
     """
-    mega = LARGE_MEGA if name.startswith("plan-large-") else MEGA
-    grid = bench.generate_random_map(mega, RATIO, SEED)
+    if "-scale" in name:
+        grid = bench.generate_random_map(*SCALE_MAP)
+    else:
+        mega = LARGE_MEGA if name.startswith("plan-large-") else MEGA
+        grid = bench.generate_random_map(mega, RATIO, SEED)
     map_path = workdir / "map.grid"
     map_path.write_text(_map_text(grid))
     out_path = workdir / f"{name}.out"

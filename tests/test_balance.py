@@ -309,3 +309,61 @@ class TestBalancePartition:
                 assert robot.twists == extract_twists(robot.sequence)
                 assert robot.time == path_time(robot.twists, PARAMS,
                                                loop.resolution_d)
+
+
+def _reference_arc_sequences(loop, arc_start, arc_length, anchor):
+    """The two sweep sequences built from the arc's index list."""
+    size = len(loop)
+    idx = [(arc_start + t) % size for t in range(arc_length)]
+    p = idx.index(anchor)
+    nodes = [loop.nodes[i] for i in idx]
+    return [nodes[p::-1] + nodes[1:], nodes[p:] + nodes[-2::-1]]
+
+
+class TestSweepSequences:
+    def test_arc_sequences_match_index_lists(self):
+        rng = random.Random(3)
+        for seed in range(6):
+            loop = random_loop(seed, mega=(4, 3), ratio=0.15)
+            size = len(loop)
+            cases = [(0, size, 0), (0, size, size - 1), (size - 1, 2, 0),
+                     (size - 1, size, size - 2), (5, 1, 5)]
+            for _ in range(40):
+                start = rng.randrange(2 * size)
+                length = rng.randint(1, size)
+                cases.append((start, length,
+                              (start + rng.randrange(length)) % size))
+            for case in cases:
+                assert balance._arc_sequences(loop, *case) == (
+                    _reference_arc_sequences(loop, *case))
+
+    def test_anchor_outside_arc_rejected(self):
+        loop = square_loop()
+        size = len(loop)
+        for start, length, anchor in ((0, 4, 4), (size - 2, 3, 2),
+                                      (0, size, size), (0, 3, -1)):
+            with pytest.raises(ValueError, match="outside arc"):
+                balance._arc_sequences(loop, start, length, anchor)
+
+    def test_sweep_twists_equal_extract_twists_on_walks(self):
+        rng = random.Random(12)
+        steps = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        for n in range(1, 60):
+            seq = [(rng.randrange(5), rng.randrange(5))]
+            for _ in range(n - 1):
+                dx, dy = rng.choice(steps)
+                seq.append((seq[-1][0] + dx, seq[-1][1] + dy))
+            assert balance._sweep_twists(seq) == extract_twists(seq)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_plan_twists_equal_extract_twists(self, k):
+        rng = random.Random(k)
+        for seed in range(4):
+            loop = random_loop(seed, mega=(12, 12), ratio=0.1)
+            idxs = sorted(rng.sample(range(len(loop)), k))
+            starts = [RobotStart(i, loop.nodes[idx], idx)
+                      for i, idx in enumerate(idxs)]
+            for robot in balance_partition(loop, starts, PARAMS).robots:
+                assert robot.twists == extract_twists(robot.sequence)
+                assert robot.time == path_time(robot.twists, PARAMS,
+                                               loop.resolution_d)

@@ -132,6 +132,106 @@ class TestMaximumMatching:
             assert len(matching) == best
 
 
+def _reference_independent_set(graph, matching):
+    """The Koenig step on dicts and sets: alternating-path reachability
+    from the unmatched horizontal segments over the sorted edges; the
+    cover is the unreached horizontal and the reached vertical ones."""
+    match_h = {h: v for h, v in matching}
+    match_v = {v: h for h, v in matching}
+    adj_h = {h: [] for h in graph.horizontal_ids()}
+    for h, v in sorted(graph.edges):
+        adj_h[h].append(v)
+    frontier = [h for h in graph.horizontal_ids() if h not in match_h]
+    reachable = set(frontier)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for v in adj_h[h]:
+                if v in reachable or match_h.get(h) == v:
+                    continue
+                reachable.add(v)
+                back = match_v.get(v)
+                if back is not None and back not in reachable:
+                    reachable.add(back)
+                    nxt.append(back)
+        frontier = nxt
+    h_ids = set(graph.horizontal_ids())
+    v_ids = set(graph.vertical_ids())
+    cover = (h_ids - reachable) | (v_ids & reachable)
+    return frozenset((h_ids | v_ids) - cover)
+
+
+def _reference_tiling(span, graph, keep):
+    """Bricks by union-find over the kept borders, grouped in sorted node
+    order, each checked straight and sorted, then ordered by the (y, x)
+    of their first cells."""
+    parent = {c: c for c in span.nodes}
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for seg_id in keep:
+        a, b = graph.segments[seg_id].cells
+        parent[find(a)] = find(b)
+    groups = {}
+    for cell in span.sorted_nodes():
+        groups.setdefault(find(cell), []).append(cell)
+    bricks = []
+    for cells in groups.values():
+        xs = {c[0] for c in cells}
+        ys = {c[1] for c in cells}
+        axis = 1 if len(xs) == 1 else 0
+        assert len(xs) == 1 or len(ys) == 1
+        cells.sort(key=lambda c: c[axis])
+        assert all(b[axis] == a[axis] + 1 for a, b in zip(cells, cells[1:]))
+        bricks.append(tuple(cells))
+    bricks.sort(key=lambda b: (b[0][1], b[0][0]))
+    return tuple(bricks)
+
+
+def _oracle_spans():
+    rng = random.Random(77)
+    spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+             for _ in range(30)]
+    spans += [fig_span(), make_span(4, 3), make_span(1, 1), make_span(1, 6),
+              make_span(6, 1)]
+    return spans
+
+
+class TestFlatStagesMatchOracles:
+    """The Koenig step and the tiling on flat ids against the coordinate
+    code they replaced."""
+
+    @staticmethod
+    def check(span):
+        graph = build_segment_graph(span)
+        matching = maximum_matching(graph)
+        keep = max_independent_set(graph, matching)
+        assert keep == _reference_independent_set(graph, matching)
+        bricks = tiling_from_independent_set(span, graph, keep)
+        assert bricks.bricks == _reference_tiling(span, graph, keep)
+
+    def test_random_connected_spans(self):
+        for span in _oracle_spans():
+            self.check(span)
+
+    @pytest.mark.parametrize("mega", [80, 120])
+    def test_random_maps(self, mega):
+        self.check(pipeline.build_component(
+            bench.generate_random_map((mega, mega), 0.1, 7), None))
+
+    def test_non_maximum_keep_sets(self):
+        # any independent set tiles: here all vertical or all horizontal
+        for span in _oracle_spans():
+            graph = build_segment_graph(span)
+            for keep in (frozenset(graph.vertical_ids()),
+                         frozenset(graph.horizontal_ids())):
+                assert tiling_from_independent_set(span, graph, keep).bricks \
+                    == _reference_tiling(span, graph, keep)
+
+
 def random_map_graph(mega, ratio, seed):
     grid = bench.generate_random_map((mega, mega), ratio, seed)
     return build_segment_graph(pipeline.build_component(grid, None))
@@ -181,11 +281,14 @@ def test_tiling_does_not_recurse():
     try:
         matching = maximum_matching(graph)
         bricks = min_brick_tiling(span)
+        plans = [pipeline.plan(grid, k=k) for k in (1, 4)]
     finally:
         sys.setrecursionlimit(limit)
     assert matching == maximum_matching(graph)
     assert len(bricks) == len(span.nodes) - (len(graph.segments)
                                              - len(matching))
+    for result, k in zip(plans, (1, 4)):
+        assert result.plan == pipeline.plan(grid, k=k).plan
 
 
 class TestMaxIndependentSet:
@@ -248,6 +351,15 @@ class TestTiling:
         h, v = graph.edges[0]
         with pytest.raises(ValueError, match="not a straight brick"):
             tiling_from_independent_set(span, graph, frozenset({h, v}))
+
+    def test_every_bent_pair_rejected(self):
+        # each conflict edge bends a block: a cell deleting both borders,
+        # a run that turns, or a cell entered from the left and from above
+        span = make_span(3, 3)
+        graph = build_segment_graph(span)
+        for h, v in graph.edges:
+            with pytest.raises(ValueError, match="not a straight brick"):
+                tiling_from_independent_set(span, graph, frozenset({h, v}))
 
     def test_bricks_partition_nodes(self, rng):
         for _ in range(30):

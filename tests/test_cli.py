@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turncover.cli import main
+from turncover import bench, pipeline
+from turncover.cli import main, plan_record_text
 
 STRIP = "00000\n00000\n"
 BLOCKED = "11\n11\n"
@@ -201,6 +202,17 @@ class TestBench:
     def test_bad_mega_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--mega", "oops"])
+
+
+@pytest.mark.parametrize("d", [0.5, 0.3, 1.7, 0.05])
+def test_record_text_formats_each_waypoint_as_before(d):
+    grid = bench.generate_random_map((9, 7), 0.1, 2, d)
+    result = pipeline.plan(grid, k=3)
+    lines = plan_record_text(result, d).splitlines()
+    for robot, line in zip(result.plan.robots, lines):
+        waypoints = " ".join(f"{(x + 0.5) * d:.3f}:{(y + 0.5) * d:.3f}"
+                             for x, y in robot.sequence)
+        assert line.endswith(f" waypoints={waypoints}")
 
 
 def test_movingai_format_flag(tmp_path):

@@ -133,6 +133,36 @@ class TestMergeBricks:
             tree = merge_bricks(bricks, span)
             assert tree.edges == _reference_merge(bricks, span)
 
+    @pytest.mark.parametrize("mega", [80, 120])
+    def test_matches_neighbour_set_merge_at_scale(self, mega):
+        span = pipeline.build_component(
+            bench.generate_random_map((mega, mega), 0.1, 7), None)
+        bricks = min_brick_tiling(span)
+        tree = merge_bricks(bricks, span)
+        assert tree.edges == _reference_merge(bricks, span)
+
+    def test_flat_tree_equals_public_tree(self, rng):
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(20)]
+        spans.append(make_span(1, 1))
+        for span in spans:
+            tree = merge_bricks(min_brick_tiling(span), span)
+            public = SpanningTree(tree.nodes, tree.edges)
+            assert tree.masks == public.masks
+            assert tree_turns(tree) == tree_turns(public)
+            for (x, y), mask in public.masks.items():
+                assert tree.flat_masks[x * tree.height + y] == mask
+
+    def test_bad_bricks_rejected(self):
+        span = make_span(3, 2, obstacles=((2, 1),))
+        for bricks, match in (
+                ((((0, 0), (2, 0)),), "not one unit step"),
+                ((((2, 0), (0, 1)),), "not one unit step"),
+                ((((1, 0), (1, 1)), ((1, 1), (2, 1))), "leaves the graph"),
+                ((((0, 0), (1, 0), (0, 0)),), "close a cycle")):
+            with pytest.raises(ValueError, match=match):
+                merge_bricks(BrickSet(bricks), span)
+
     def test_single_brick_is_its_chain(self):
         span = make_span(4, 1)
         bricks = min_brick_tiling(span)
@@ -233,6 +263,10 @@ class TestSpanningTree:
     def test_edge_off_the_nodes_rejected(self):
         with pytest.raises(ValueError, match="leaves the tree's nodes"):
             SpanningTree([(0, 0), (1, 0)], [((0, 0), (0, 1))])
+
+    def test_negative_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpanningTree([(-1, 0), (0, 0)], [((-1, 0), (0, 0))])
 
     def test_edge_longer_than_one_step_rejected(self):
         for a, b in (((0, 0), (2, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)),
