@@ -10,7 +10,6 @@ from .balance import (
 from .brick_tiling import (
     BrickSet,
     SegmentGraph,
-    brute_force_min_tiling,
     build_segment_graph,
     max_independent_set,
     maximum_matching,

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import ne, sub
+from itertools import accumulate
 
 from .coverage_path import (
     CoverageLoop,
@@ -108,24 +107,6 @@ def _arc_sequences(
     seq_a = nodes[p::-1] + nodes[1:]          # near start end first
     seq_b = nodes[p:] + nodes[-2::-1]         # far end first
     return [seq_a, seq_b]
-
-
-def _sweep_twists(seq: list[Coord]) -> TwistSet:
-    """:func:`extract_twists` of a sequence of 4-adjacent cells, with the
-    heading changes found from coordinate deltas in bulk."""
-    n = len(seq)
-    if n < 3:
-        return extract_twists(seq)
-    # a unit step changes 4x + y by 4dx + dy, one value per heading
-    code = [4 * x + y for x, y in seq]
-    step = list(map(sub, code[1:], code))
-    indices = [0]
-    for i in compress(range(1, n - 1), map(ne, step, step[1:])):
-        indices.append(i)
-        if step[i] == -step[i - 1]:  # a reversal counts twice
-            indices.append(i)
-    indices.append(n - 1)
-    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
 
 
 def arc_cost(
@@ -254,10 +235,6 @@ class LoopCostModel:
         return (t_near, True) if t_near <= t_far else (t_far, False)
 
 
-def _sorted_anchor_order(starts: list[RobotStart]) -> list[RobotStart]:
-    return sorted(starts, key=lambda s: s.anchored)
-
-
 def _greedy_cuts(
     model: LoopCostModel, anchors: list[int], budget: float
 ) -> tuple[list[int] | None, float]:
@@ -347,7 +324,7 @@ def balance_partition(
     if not starts:
         raise ValueError("at least one robot start is required")
     size = len(loop)
-    ordered = _sorted_anchor_order(starts)
+    ordered = sorted(starts, key=lambda s: s.anchored)
     anchors = [s.anchored for s in ordered]
     if len(set(anchors)) != len(anchors):
         raise ValueError("robot anchors must be distinct loop indices")
@@ -389,13 +366,13 @@ def balance_partition(
         if k == 1:
             # the whole loop one way from the anchor; reversing only adds
             seq = near
-            twists = _sweep_twists(seq)
+            twists = extract_twists(seq)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
             seq = near if near_first else far
-            twists = _sweep_twists(seq)
+            twists = extract_twists(seq)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,
@@ -404,35 +381,3 @@ def balance_partition(
         )
     assignments.sort(key=lambda r: r.robot_id)
     return CoveragePlan(loop, tuple(assignments))
-
-
-def brute_force_partition(
-    loop: CoverageLoop, starts: list[RobotStart], params: RobotParams
-) -> float:
-    """Exhaustive optimum over all cut placements; oracle for small loops."""
-    size = len(loop)
-    ordered = _sorted_anchor_order(starts)
-    anchors = [s.anchored for s in ordered]
-    if len(starts) == 1:
-        return arc_cost(loop, anchors[0], size, anchors[0], params)
-    a_virtual = anchors + [anchors[0] + size]
-    k = len(anchors)
-    best = math.inf
-
-    def recurse(i: int, cuts: list[int]) -> None:
-        nonlocal best
-        if i == k:
-            worst = 0.0
-            for j in range(k):
-                start = (cuts[j - 1] + 1) % size
-                length = (cuts[j] - cuts[j - 1] - 1) % size + 1
-                worst = max(
-                    worst, arc_cost(loop, start, length, anchors[j], params)
-                )
-            best = min(best, worst)
-            return
-        for c in range(a_virtual[i], a_virtual[i + 1]):
-            recurse(i + 1, cuts + [c])
-
-    recurse(0, [])
-    return best

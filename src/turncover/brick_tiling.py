@@ -14,6 +14,7 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
 from typing import NamedTuple
 
@@ -48,11 +49,22 @@ class SegmentGraph:
     segments: tuple[Segment, ...]
     edges: tuple[tuple[int, int], ...]  # (horizontal id, vertical id)
 
+    @cached_property
     def horizontal_ids(self) -> list[int]:
         return [s.id for s in self.segments if s.orientation == HORIZONTAL]
 
+    @cached_property
     def vertical_ids(self) -> list[int]:
         return [s.id for s in self.segments if s.orientation == VERTICAL]
+
+    @cached_property
+    def adjacency(self) -> list[list[int]]:
+        """Vertical neighbours of every segment, by id, ascending (``edges``
+        is sorted); empty for the vertical segments."""
+        adj: list[list[int]] = [[] for _ in self.segments]
+        for h, v in self.edges:
+            adj[h].append(v)
+        return adj
 
 
 @dataclass(frozen=True)
@@ -103,15 +115,6 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     return SegmentGraph(tuple(segments), tuple(edges))
 
 
-def _adjacency(graph: SegmentGraph) -> list[list[int]]:
-    """Vertical neighbours of every horizontal segment, by id, ascending
-    (``graph.edges`` is sorted)."""
-    adj: list[list[int]] = [[] for _ in graph.segments]
-    for h, v in graph.edges:
-        adj[h].append(v)
-    return adj
-
-
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     """Maximum-cardinality matching of the bipartite segment graph.
 
@@ -129,8 +132,8 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     deterministic.
     """
     n = len(graph.segments)
-    h_ids = graph.horizontal_ids()
-    adj = _adjacency(graph)
+    h_ids = graph.horizontal_ids
+    adj = graph.adjacency
     match_h = [-1] * n
     match_v = [-1] * n
     for h in h_ids:
@@ -198,13 +201,13 @@ def max_independent_set(
     vertical ones. One BFS over flat lists by segment id.
     """
     n = len(graph.segments)
-    adj = _adjacency(graph)
+    adj = graph.adjacency
     match_h = [-1] * n
     match_v = [-1] * n
     for h, v in matching:
         match_h[h], match_v[v] = v, h
     reached = bytearray(n)
-    frontier = [h for h in graph.horizontal_ids() if match_h[h] < 0]
+    frontier = [h for h in graph.horizontal_ids if match_h[h] < 0]
     for h in frontier:
         reached[h] = 1
     for h in frontier:  # grows while it is read
@@ -277,44 +280,6 @@ def min_brick_tiling(span: SpanningGraph) -> BrickSet:
     matching = maximum_matching(seg_graph)
     keep = max_independent_set(seg_graph, matching)
     return tiling_from_independent_set(span, seg_graph, keep)
-
-
-def brute_force_min_tiling(span: SpanningGraph) -> int:
-    """Exact minimum brick count by exhaustive partition enumeration.
-
-    Oracle for small instances only; refuses more than 16 free cells.
-    """
-    if len(span.nodes) > 16:
-        raise ValueError(f"instance too large for oracle: {len(span.nodes)} cells")
-    memo: dict[frozenset[Coord], int] = {frozenset(): 0}
-
-    def solve(remaining: frozenset[Coord]) -> int:
-        if remaining in memo:
-            return memo[remaining]
-        x0, y0 = min(remaining, key=lambda c: (c[1], c[0]))
-        best = None
-        # horizontal bricks growing right from the row-major minimum
-        cells: list[Coord] = []
-        length = 0
-        while (x0 + length, y0) in remaining:
-            cells.append((x0 + length, y0))
-            length += 1
-            sub = solve(remaining - frozenset(cells))
-            if best is None or sub + 1 < best:
-                best = sub + 1
-        # vertical bricks growing down (length >= 2; length 1 covered above)
-        cells = [(x0, y0)]
-        length = 1
-        while (x0, y0 + length) in remaining:
-            cells.append((x0, y0 + length))
-            length += 1
-            sub = solve(remaining - frozenset(cells))
-            if sub + 1 < best:
-                best = sub + 1
-        memo[remaining] = best
-        return best
-
-    return solve(frozenset(span.nodes))
 
 
 def tiling_to_text(span: SpanningGraph, bricks: BrickSet) -> str:

@@ -69,20 +69,10 @@ def _parse_start(value: str) -> tuple[int, int]:
         ) from exc
 
 
-def _component(grid):
-    try:
-        return pipeline.build_component(grid, None)
-    except grid_map.MapFormatError as exc:
-        raise CliError("parse error", str(exc)) from exc
-
-
 def cmd_tile(args) -> int:
     grid = _load_map(args)
-    try:
-        span = _component(grid)
-        bricks = brick_tiling.min_brick_tiling(span)
-    except grid_map.DisconnectedGraphError as exc:
-        raise CliError("disconnected", str(exc)) from exc
+    span = pipeline.build_component(grid, None)
+    bricks = brick_tiling.min_brick_tiling(span)
     s, r = len(span.nodes), len(bricks)
     _emit(args.out, brick_tiling.tiling_to_text(span, bricks))
     print(f"S={s} T={s - r} R={r}")
@@ -91,11 +81,8 @@ def cmd_tile(args) -> int:
 
 def cmd_tree(args) -> int:
     grid = _load_map(args)
-    try:
-        span = _component(grid)
-        tree, bricks = pipeline.build_tree(span, args.method, args.seed)
-    except grid_map.DisconnectedGraphError as exc:
-        raise CliError("disconnected", str(exc)) from exc
+    span = pipeline.build_component(grid, None)
+    tree, bricks = pipeline.build_tree(span, args.method, args.seed)
     _emit(args.out, tree_builder.tree_to_text(tree))
     if args.svg:
         _write_atomic(args.svg, render.render_svg(grid, bricks, tree))
@@ -133,21 +120,14 @@ def cmd_plan(args) -> int:
             f"{len(starts)} --start values for --robots {args.robots}",
         )
     params = _params(args)
-    try:
-        result = pipeline.plan(
-            grid,
-            k=args.robots,
-            starts=starts,
-            params=params,
-            tree_method=args.method,
-            seed=args.seed,
-        )
-    except grid_map.DisconnectedGraphError as exc:
-        raise CliError("disconnected", str(exc)) from exc
-    except grid_map.MapFormatError as exc:
-        raise CliError("parse error", str(exc)) from exc
-    except ValueError as exc:
-        raise CliError("planning error", str(exc)) from exc
+    result = pipeline.plan(
+        grid,
+        k=args.robots,
+        starts=starts,
+        params=params,
+        tree_method=args.method,
+        seed=args.seed,
+    )
     _emit(args.out, plan_record_text(result, args.d))
     if args.svg:
         _write_atomic(
@@ -169,14 +149,10 @@ def cmd_bench(args) -> int:
     grids = []
     for i in range(args.maps):
         seed = args.seed + i
-        try:
-            grids.append(
-                (f"random-{seed}",
-                 bench.generate_random_map(mega, args.obstacle_ratio, seed,
-                                           args.d))
-            )
-        except ValueError as exc:
-            raise CliError("planning error", str(exc)) from exc
+        grids.append(
+            (f"random-{seed}",
+             bench.generate_random_map(mega, args.obstacle_ratio, seed, args.d))
+        )
     rows = bench.compare_trees(grids, args.seed)
     reports = []
     for name, grid in grids:
@@ -185,10 +161,7 @@ def cmd_bench(args) -> int:
                 name=name, grid=grid, k=k, params=params,
                 tree_method=args.method, seed=args.seed,
             )
-            try:
-                reports.append(bench.run_scenario(scenario))
-            except ValueError as exc:
-                raise CliError("planning error", str(exc)) from exc
+            reports.append(bench.run_scenario(scenario))
     text = bench.turns_table(rows) + "\n" + bench.report_table(reports)
     if args.records:
         _write_atomic(
@@ -286,6 +259,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except grid_map.DisconnectedGraphError as exc:
+        print(f"disconnected: {exc}", file=sys.stderr)
+        return 1
+    except grid_map.MapFormatError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"planning error: {exc}", file=sys.stderr)
         return 1
 
 

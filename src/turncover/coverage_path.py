@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne, sub
 
 from .grid_map import Coord
 from .tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
@@ -64,13 +66,6 @@ class TwistSet:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-
-def _direction(a: Coord, b: Coord) -> Coord:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    if abs(dx) + abs(dy) != 1:
-        raise ValueError(f"nodes {a} and {b} are not 4-adjacent")
-    return (dx, dy)
 
 
 def circumnavigate(tree: SpanningTree, start: Coord,
@@ -125,31 +120,33 @@ def circumnavigate(tree: SpanningTree, start: Coord,
 
 def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     """Twist at every heading change, plus the path's first and last
-    node; a reversal counts as two twist entries at the same node."""
-    seq = list(sequence)
-    if not seq:
+    node; a reversal counts as two twist entries at the same node.
+
+    Headings are the steps of the code ``x * m + y``, with ``m`` two more
+    than the y range: a step between 4-adjacent cells is ``+-1`` or
+    ``+-m``, and a step between any other two cells is neither.
+    """
+    seq = sequence
+    n = len(seq)
+    if not n:
         raise ValueError("empty node sequence")
-    if len(seq) == 1:
+    if n == 1:
         return TwistSet((0,), (seq[0],))
-    headings = [_direction(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
+    ys = [y for _, y in seq]
+    m = max(ys) - min(ys) + 2
+    code = [x * m + y for x, y in seq]
+    step = list(map(sub, code[1:], code))
+    unit = {1, -1, m, -m}
+    if not unit.issuperset(step):
+        i = next(i for i, d in enumerate(step) if d not in unit)
+        raise ValueError(f"nodes {seq[i]} and {seq[i + 1]} are not 4-adjacent")
     indices = [0]
-    for i in range(1, len(seq) - 1):
-        din, dout = headings[i - 1], headings[i]
-        if din != dout:
+    for i in compress(range(1, n - 1), map(ne, step, step[1:])):
+        indices.append(i)
+        if step[i] == -step[i - 1]:  # a reversal counts twice
             indices.append(i)
-            if dout == (-din[0], -din[1]):
-                indices.append(i)
-    indices.append(len(seq) - 1)
-    points = tuple(seq[i] for i in indices)
-    return TwistSet(tuple(indices), points)
-
-
-def loop_turn_count(loop: CoverageLoop) -> int:
-    """Heading changes around the full cyclic loop."""
-    nodes = loop.nodes
-    n = len(nodes)
-    dirs = [_direction(nodes[i], nodes[(i + 1) % n]) for i in range(n)]
-    return sum(1 for i in range(n) if dirs[i - 1] != dirs[i])
+    indices.append(n - 1)
+    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
 
 
 def leg_time(distance: float, params: RobotParams) -> float:
@@ -203,9 +200,3 @@ def path_time(twists: TwistSet, params: RobotParams,
         for (x1, y1), (x2, y2) in zip(twists.points, twists.points[1:])
     ]
     return math.fsum(legs + [turn_term(twists.n, params)])
-
-
-def loop_to_metric(loop: CoverageLoop) -> list[tuple[float, float]]:
-    """Unit-cell centers in meters."""
-    d = loop.resolution_d
-    return [((x + 0.5) * d, (y + 0.5) * d) for x, y in loop.nodes]

@@ -25,6 +25,8 @@ Edge = tuple[Coord, Coord]
 
 MOVINGAI_FREE = frozenset(".G")
 MOVINGAI_OCCUPIED = frozenset("@OTSW")
+GRID01_FREE = frozenset("0")
+GRID01_OCCUPIED = frozenset("1")
 
 
 class MapFormatError(ValueError):
@@ -35,14 +37,9 @@ class DisconnectedGraphError(ValueError):
     """Raised when an operation needs a single connected component."""
 
 
-def normalize_edge(a: Coord, b: Coord) -> Edge:
-    """Canonical undirected edge representation (lexicographically sorted)."""
-    return (a, b) if a <= b else (b, a)
-
-
-def find(parent, node):
-    """Union-find root of ``node``, halving the path on the way up;
-    ``parent`` is a list by node id or a dict by node."""
+def find(parent: list[int], node: int) -> int:
+    """Union-find root of node id ``node`` in ``parent``, a list by node
+    id, halving the path on the way up."""
     while parent[node] != node:
         parent[node] = parent[parent[node]]
         node = parent[node]
@@ -116,7 +113,6 @@ class SpanningGraph:
     mega_width: int
     mega_height: int
     nodes: frozenset[Coord]
-    resolution_d: float = 0.5
 
     @cached_property
     def free(self) -> bytes:
@@ -134,26 +130,9 @@ class SpanningGraph:
 
     @cached_property
     def ids(self) -> list[int]:
-        """Node ids ``x * mega_height + y`` ascending, which is
-        ``sorted_nodes()`` order."""
+        """Node ids ``x * mega_height + y`` ascending, which is sorted
+        node order."""
         return list(compress(range(len(self.free)), self.free))
-
-    def neighbors(self, node: Coord) -> tuple[Coord, ...]:
-        """Adjacent nodes in the fixed scan order right, down, left, up."""
-        x, y = node
-        return tuple(c for c in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1))
-                     if c in self.nodes)
-
-    def edges(self) -> list[Edge]:
-        """All undirected edges, sorted for determinism."""
-        nodes = self.nodes
-        out = [((x, y), nb) for x, y in nodes
-               for nb in ((x + 1, y), (x, y + 1)) if nb in nodes]
-        out.sort()
-        return out
-
-    def sorted_nodes(self) -> list[Coord]:
-        return sorted(self.nodes)
 
 
 def parse_map(content: bytes | str, fmt: str, resolution_d: float = 0.5) -> GridMap:
@@ -193,18 +172,8 @@ def _parse_movingai(text: str, resolution_d: float) -> GridMap:
     rows = [ln for ln in lines[4:] if ln.strip() != ""]
     if len(rows) != height:
         raise MapFormatError(f"expected {height} map rows, found {len(rows)}")
-    cells: list[bool] = []
-    for y, row in enumerate(rows):
-        if len(row) != width:
-            raise MapFormatError(f"row {y} has length {len(row)}, expected {width}")
-        for glyph in row:
-            if glyph in MOVINGAI_FREE:
-                cells.append(False)
-            elif glyph in MOVINGAI_OCCUPIED:
-                cells.append(True)
-            else:
-                raise MapFormatError(f"unknown glyph {glyph!r} in row {y}")
-    return GridMap(width, height, tuple(cells), resolution_d)
+    cells = _classify_rows(rows, width, MOVINGAI_FREE, MOVINGAI_OCCUPIED)
+    return GridMap(width, height, cells, resolution_d)
 
 
 def _parse_grid01(text: str, resolution_d: float) -> GridMap:
@@ -219,23 +188,28 @@ def _parse_grid01(text: str, resolution_d: float) -> GridMap:
     if not lines:
         raise MapFormatError("grid01 map has no body rows")
     width = len(lines[0])
-    cells: list[bool] = []
-    for y, row in enumerate(lines):
-        if len(row) != width:
-            raise MapFormatError(f"row {y} has length {len(row)}, expected {width}")
-        for glyph in row:
-            if glyph == "0":
-                cells.append(False)
-            elif glyph == "1":
-                cells.append(True)
-            else:
-                raise MapFormatError(f"unknown glyph {glyph!r} in row {y}")
+    cells = _classify_rows(lines, width, GRID01_FREE, GRID01_OCCUPIED)
     height = len(lines)
     if declared is not None and declared != (height, width):
         raise MapFormatError(
             f"declared {declared[0]}x{declared[1]} but body is {height}x{width}"
         )
-    return GridMap(width, height, tuple(cells), resolution_d)
+    return GridMap(width, height, cells, resolution_d)
+
+
+def _classify_rows(rows: list[str], width: int, free: frozenset[str],
+                   occupied: frozenset[str]) -> tuple[bool, ...]:
+    """Row-major occupancy of the glyph rows: True for a glyph in
+    ``occupied``, False for one in ``free``. Rows are checked in order,
+    each for its length and then for its first unknown glyph."""
+    known = free | occupied
+    for y, row in enumerate(rows):
+        if len(row) != width:
+            raise MapFormatError(f"row {y} has length {len(row)}, expected {width}")
+        if not known.issuperset(row):
+            glyph = next(g for g in row if g not in known)
+            raise MapFormatError(f"unknown glyph {glyph!r} in row {y}")
+    return tuple(map(occupied.__contains__, "".join(rows)))
 
 
 def build_spanning_graph(grid: GridMap) -> SpanningGraph:
@@ -257,7 +231,7 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
     if not nodes:
         raise MapFormatError("map has no fully free mega cell")
     return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
-                         frozenset(nodes), grid.resolution_d)
+                         frozenset(nodes))
 
 
 def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
@@ -292,8 +266,7 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
         return span
     if seeds and not any(todo[i] for i in seed_ids):
         return SpanningGraph(
-            span.mega_width, height,
-            frozenset(divmod(i, height) for i in comp), span.resolution_d,
+            span.mega_width, height, frozenset(divmod(i, height) for i in comp)
         )
 
     label = [-1] * len(todo)

@@ -50,7 +50,7 @@ def render_svg(
                 f'class="brick"/>'
             )
     if tree is not None:
-        for (ax, ay), (bx, by) in tree.sorted_edges():
+        for (ax, ay), (bx, by) in sorted(tree.edges):
             x1, y1 = (2 * ax + 1) * PX, (2 * ay + 1) * PX
             x2, y2 = (2 * bx + 1) * PX, (2 * by + 1) * PX
             parts.append(

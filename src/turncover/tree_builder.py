@@ -9,6 +9,7 @@ provided as comparison baselines.
 from __future__ import annotations
 
 import heapq
+import random
 from collections.abc import Iterable
 from functools import cached_property
 
@@ -19,7 +20,6 @@ from .grid_map import (
     Edge,
     SpanningGraph,
     find,
-    normalize_edge,
 )
 
 
@@ -27,56 +27,20 @@ from .grid_map import (
 RIGHT, DOWN, LEFT, UP = 1, 2, 4, 8
 
 
-def _edge_bits(a: Coord, b: Coord) -> tuple[int, int]:
-    """Mask bits that the normalized edge ``a < b`` sets at ``a`` and at
-    ``b``: right/left for a horizontal edge, down/up for a vertical one."""
-    return (RIGHT, LEFT) if a[1] == b[1] else (DOWN, UP)
-
-
 class SpanningTree:
     """Undirected tree over spanning-graph nodes.
 
     ``flat_masks`` holds, by node id ``x * height + y`` (0 at ids off the
     tree), the bits (``RIGHT``, ``DOWN``, ``LEFT``, ``UP``) of the tree
-    edges that leave each node; the walk and the turn count read it.
-    ``masks`` maps every node to the same bits. ``masks``, and the
-    ``edges`` of a tree built by :func:`merge_bricks`, are derived from
-    ``flat_masks`` on first use.
+    edges that leave each node; the walk and the turn count read it, and
+    ``edges`` is derived from it on first use. The three builders below
+    write the masks and check the tree they build; :func:`circumnavigate`
+    rejects any masks whose walk does not close after exactly 4N steps.
     """
 
-    def __init__(self, nodes: Iterable[Coord], edges: Iterable[Edge]):
-        self.nodes = frozenset(nodes)
-        self.edges = frozenset(normalize_edge(a, b) for a, b in edges)
-        if min((min(node) for node in self.nodes), default=0) < 0:
-            raise ValueError("tree nodes need nonnegative coordinates")
-        self.height = height = 1 + max((y for _, y in self.nodes), default=0)
-        self.flat_masks = flat = bytearray(
-            height * (1 + max((x for x, _ in self.nodes), default=0)))
-        for a, b in self.edges:
-            if a not in self.nodes or b not in self.nodes:
-                raise ValueError(f"edge {a}-{b} leaves the tree's nodes")
-            if (b[0] - a[0], b[1] - a[1]) not in ((1, 0), (0, 1)):
-                raise ValueError(f"edge {a}-{b} is not one unit step long")
-            bit_a, bit_b = _edge_bits(a, b)
-            flat[a[0] * height + a[1]] |= bit_a
-            flat[b[0] * height + b[1]] |= bit_b
-        if len(self.edges) != len(self.nodes) - 1:
-            raise ValueError(
-                f"{len(self.edges)} edges for {len(self.nodes)} nodes is not a tree"
-            )
-
-    @classmethod
-    def _from_flat(cls, nodes: frozenset[Coord], height: int,
-                   flat_masks: bytearray) -> SpanningTree:
-        """A tree from masks its caller has already checked."""
-        tree = cls.__new__(cls)
-        tree.nodes, tree.height, tree.flat_masks = nodes, height, flat_masks
-        return tree
-
-    @cached_property
-    def masks(self) -> dict[Coord, int]:
-        height, flat = self.height, self.flat_masks
-        return {(x, y): flat[x * height + y] for x, y in self.nodes}
+    def __init__(self, nodes: frozenset[Coord], height: int,
+                 flat_masks: bytearray):
+        self.nodes, self.height, self.flat_masks = nodes, height, flat_masks
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -90,8 +54,15 @@ class SpanningTree:
                 out.append(((x, y), (x, y + 1)))
         return frozenset(out)
 
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+
+def _link(masks: bytearray, a: int, b: int, height: int) -> None:
+    """Set the mask bits of the tree edge between node ids ``a < b``."""
+    if b - a == height:
+        masks[a] |= RIGHT
+        masks[b] |= LEFT
+    else:
+        masks[a] |= DOWN
+        masks[b] |= UP
 
 
 def turn_count(node: Coord, neighbors: Iterable[Coord]) -> int:
@@ -123,17 +94,6 @@ TURNS = tuple(
 )
 
 
-def edge_cost(edge: Edge, adjacency: dict[Coord, set[Coord]]) -> int:
-    """Turn-count delta of adding ``edge`` to the current tree state."""
-    a, b = edge
-    cost = 0
-    for node, other in ((a, b), (b, a)):
-        before = turn_count(node, adjacency.get(node, ()))
-        after = turn_count(node, set(adjacency.get(node, ())) | {other})
-        cost += after - before
-    return cost
-
-
 def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     """Greedily connect bricks into one spanning tree.
 
@@ -143,8 +103,9 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     matches its cached cost is accepted, and anything else is reinserted
     with the fresh cost. Ties break on lexicographic edge order via the
     heap key ``(cost, a, b)`` of node ids ``a < b``, which sorts as
-    ``(cost, (a, b))`` of coordinates does. A cost is :func:`edge_cost`,
-    read off the endpoints' neighbour masks through ``TURNS``.
+    ``(cost, (a, b))`` of coordinates does. A cost is the change the edge
+    makes to the turn function at its two endpoints, read off their
+    neighbour masks through ``TURNS``.
     """
     height = span.mega_height
     free = span.free
@@ -163,12 +124,7 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
         """Put the edge between node ids ``a < b``, whose roots are
         ``ra != rb``, into the tree."""
         nonlocal components
-        if b - a == height:
-            masks[a] |= RIGHT
-            masks[b] |= LEFT
-        else:
-            masks[a] |= DOWN
-            masks[b] |= UP
+        _link(masks, a, b, height)
         parent[ra] = rb
         components -= 1
 
@@ -214,54 +170,70 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
         raise DisconnectedGraphError(
             "spanning graph is disconnected; cannot merge into one tree"
         )
-    return SpanningTree._from_flat(span.nodes, height, masks)
+    return SpanningTree(span.nodes, height, masks)
 
 
 def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
-    """Depth-first tree with fixed neighbor order (right, down, left, up)."""
+    """Depth-first tree with fixed neighbor order (right, down, left, up):
+    the node on top of the stack links to its first unvisited neighbour."""
     if root not in span.nodes:
         raise ValueError(f"root {root} is not a spanning node")
-    visited = {root}
-    edges: list[Edge] = []
-    stack: list[tuple[Coord, iter]] = [(root, iter(span.neighbors(root)))]
+    height = span.mega_height
+    todo = bytearray(span.free)
+    n = len(todo)
+    masks = bytearray(n)
+    r = root[0] * height + root[1]
+    todo[r] = 0
+    stack = [r]
     while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nb in it:
-            if nb not in visited:
-                visited.add(nb)
-                edges.append(normalize_edge(node, nb))
-                stack.append((nb, iter(span.neighbors(nb))))
-                advanced = True
+        i = stack[-1]
+        y = i % height
+        # a neighbour off the grid reads the root, whose flag is clear
+        for j in (i + height if i + height < n else r,
+                  i + 1 if y + 1 < height else r,
+                  i - height if i >= height else r,
+                  i - 1 if y else r):
+            if todo[j]:
+                todo[j] = 0
+                _link(masks, min(i, j), max(i, j), height)
+                stack.append(j)
                 break
-        if not advanced:
+        else:
             stack.pop()
-    if len(visited) != len(span.nodes):
+    if any(todo):
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree(span.nodes, edges)
+    return SpanningTree(span.nodes, height, masks)
 
 
 def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
     """Spanning tree from union-find over edges in seeded-random order.
 
     The graph is unweighted, so the shuffle order is the only degree of
-    freedom; identical seeds give identical trees.
+    freedom; identical seeds give identical trees. Edges are shuffled
+    from sorted order: ``(a, a + 1)`` then ``(a, a + H)`` for each id ``a``.
     """
-    import random
-
-    rng = random.Random(seed)
-    edges = span.edges()
-    rng.shuffle(edges)
-    parent: dict[Coord, Coord] = {n: n for n in span.nodes}
-    chosen = []
+    height = span.mega_height
+    free = span.free
+    n = len(free)
+    edges = []
+    for a in span.ids:
+        if (a + 1) % height and free[a + 1]:
+            edges.append((a, a + 1))
+        if a + height < n and free[a + height]:
+            edges.append((a, a + height))
+    random.Random(seed).shuffle(edges)
+    parent = list(range(n))
+    masks = bytearray(n)
+    chosen = 0
     for a, b in edges:
         ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[ra] = rb
-            chosen.append((a, b))
-    if len(chosen) != len(span.nodes) - 1:
+            _link(masks, a, b, height)
+            chosen += 1
+    if chosen != len(span.nodes) - 1:
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree(span.nodes, chosen)
+    return SpanningTree(span.nodes, height, masks)
 
 
 def tree_turns(tree: SpanningTree) -> int:
@@ -279,5 +251,5 @@ def tree_turns(tree: SpanningTree) -> int:
 
 def tree_to_text(tree: SpanningTree) -> str:
     """Edge-list export: ``(x1,y1)-(x2,y2)`` per line, sorted."""
-    lines = [f"({a[0]},{a[1]})-({b[0]},{b[1]})" for a, b in tree.sorted_edges()]
+    lines = [f"({a[0]},{a[1]})-({b[0]},{b[1]})" for a, b in sorted(tree.edges)]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -3,6 +3,38 @@ import random
 import pytest
 
 from turncover.grid_map import SpanningGraph
+from turncover.tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
+
+Edge = tuple[tuple[int, int], tuple[int, int]]
+
+
+def normalize_edge(a, b) -> Edge:
+    """Canonical undirected edge: the lexicographically smaller end first."""
+    return (a, b) if a <= b else (b, a)
+
+
+def span_edges(span: SpanningGraph) -> list[Edge]:
+    """All undirected edges of the spanning graph, sorted."""
+    nodes = span.nodes
+    out = [((x, y), nb) for x, y in nodes
+           for nb in ((x + 1, y), (x, y + 1)) if nb in nodes]
+    out.sort()
+    return out
+
+
+def make_tree(nodes, edges) -> SpanningTree:
+    """A tree from coordinate edges between unit-step neighbours, laid
+    out on the smallest grid holding its nodes."""
+    nodes = frozenset(nodes)
+    height = 1 + max(y for _, y in nodes)
+    masks = bytearray(height * (1 + max(x for x, _ in nodes)))
+    for a, b in edges:
+        (ax, ay), (bx, by) = normalize_edge(a, b)
+        assert (bx - ax) + (by - ay) == 1 and ax <= bx and ay <= by
+        right = bx > ax
+        masks[ax * height + ay] |= RIGHT if right else DOWN
+        masks[bx * height + by] |= LEFT if right else UP
+    return SpanningTree(nodes, height, masks)
 
 
 def make_span(width, height, obstacles=()):

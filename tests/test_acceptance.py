@@ -11,9 +11,8 @@ import time
 import pytest
 
 from turncover import bench, brick_tiling, grid_map, pipeline
-from turncover.balance import RobotStart, balance_partition, brute_force_partition
+from turncover.balance import RobotStart, balance_partition
 from turncover.brick_tiling import (
-    brute_force_min_tiling,
     build_segment_graph,
     max_independent_set,
     maximum_matching,
@@ -25,12 +24,12 @@ from turncover.coverage_path import (
     RobotParams,
     circumnavigate,
     leg_time,
-    loop_turn_count,
     turn_term,
 )
 from turncover.tree_builder import dfs_tree, kruskal_tree, merge_bricks, tree_turns
 
 from conftest import make_span, random_connected_span
+from oracles import brute_force_min_tiling, brute_force_partition, loop_turn_count
 
 PARAMS = RobotParams()
 
@@ -59,7 +58,7 @@ def test_01_worked_example_tiling():
         bricks = tiling_from_independent_set(span, seg, keep)
         assert len(bricks) == 3
         # the suboptimal all-vertical deletable set of size 4 gives 4 bricks
-        vertical = frozenset(seg.vertical_ids())
+        vertical = frozenset(seg.vertical_ids)
         assert len(vertical) == 4
         assert len(tiling_from_independent_set(span, seg, vertical)) == 4
         # an unobstructed 3x4 block tiles into 3 full-row bricks

@@ -42,6 +42,10 @@ PINNED = {
         "2dcdf3cc650a5968fb3236f603d8365cb1ba6c0b002f2ca0d22b8da3b45b0638",
     "tile-scale":
         "45af65db92bb6e4f5a773e31c1d083b96192ba776980104454dc7f5200b51b44",
+    "tree-dfs-scale":
+        "679b4536e76396a1791ce0bbd21b60a0d5e6b16d45880ea4b4bcbaec96201e39",
+    "tree-kruskal-scale":
+        "b550f7d8c67991b078e7362d1688e4bcb6d6de1f179700ac9c651bbb79469f12",
     "plan-scale-k1":
         "f6299e263e8f736ee05d0edcaa7e35f2be8c55772d63e2279481854d1fd066b5",
     "bench-records":
@@ -61,7 +65,8 @@ def _argv(name: str, map_path: str, starts: list[tuple[int, int]]) -> list[str]:
     if name in ("tile", "tile-scale"):
         return ["tile", "--map", map_path]
     if name.startswith("tree-"):
-        return ["tree", "--map", map_path, "--method", name[len("tree-"):]]
+        method = name[len("tree-"):].removesuffix("-scale")
+        return ["tree", "--map", map_path, "--method", method]
     if name == "plan-k3":
         return ["plan", "--map", map_path, "--robots", "3"]
     if name == "plan-starts":

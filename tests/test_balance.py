@@ -10,13 +10,14 @@ from turncover.balance import (
     anchor_starts,
     arc_cost,
     balance_partition,
-    brute_force_partition,
 )
 from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import RobotParams, circumnavigate, extract_twists, path_time
 from turncover.tree_builder import merge_bricks
 
+import oracles
 from conftest import make_span, random_connected_span
+from oracles import brute_force_partition
 
 PARAMS = RobotParams()
 
@@ -353,7 +354,7 @@ class TestSweepSequences:
             for _ in range(n - 1):
                 dx, dy = rng.choice(steps)
                 seq.append((seq[-1][0] + dx, seq[-1][1] + dy))
-            assert balance._sweep_twists(seq) == extract_twists(seq)
+            assert extract_twists(seq) == oracles.extract_twists(seq)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_plan_twists_equal_extract_twists(self, k):

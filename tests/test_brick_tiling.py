@@ -8,7 +8,6 @@ from turncover import bench, pipeline
 from turncover.brick_tiling import (
     HORIZONTAL,
     VERTICAL,
-    brute_force_min_tiling,
     build_segment_graph,
     max_independent_set,
     maximum_matching,
@@ -18,6 +17,7 @@ from turncover.brick_tiling import (
 )
 
 from conftest import make_span, random_connected_span
+from oracles import brute_force_min_tiling
 
 # 3x4 grid with four obstacles reconstructing the worked border-deletion
 # example: 8 free cells, 4 vertical borders, best deletable set of 5.
@@ -47,8 +47,8 @@ class TestSegmentGraph:
     def test_full_3x4_grid_counts(self):
         graph = build_segment_graph(make_span(4, 3))
         assert len(graph.segments) == 17
-        assert len(graph.vertical_ids()) == 9
-        assert len(graph.horizontal_ids()) == 8
+        assert len(graph.vertical_ids) == 9
+        assert len(graph.horizontal_ids) == 8
 
     def test_strip_all_parallel(self):
         graph = build_segment_graph(make_span(5, 1))
@@ -59,8 +59,8 @@ class TestSegmentGraph:
     def test_2x2_complete_bipartite(self):
         graph = build_segment_graph(make_span(2, 2))
         assert len(graph.segments) == 4
-        assert len(graph.horizontal_ids()) == 2
-        assert len(graph.vertical_ids()) == 2
+        assert len(graph.horizontal_ids) == 2
+        assert len(graph.vertical_ids) == 2
         assert len(graph.edges) == 4  # all meet at the center point
 
     def test_bipartite_by_orientation(self, rng):
@@ -138,10 +138,10 @@ def _reference_independent_set(graph, matching):
     cover is the unreached horizontal and the reached vertical ones."""
     match_h = {h: v for h, v in matching}
     match_v = {v: h for h, v in matching}
-    adj_h = {h: [] for h in graph.horizontal_ids()}
+    adj_h = {h: [] for h in graph.horizontal_ids}
     for h, v in sorted(graph.edges):
         adj_h[h].append(v)
-    frontier = [h for h in graph.horizontal_ids() if h not in match_h]
+    frontier = [h for h in graph.horizontal_ids if h not in match_h]
     reachable = set(frontier)
     while frontier:
         nxt = []
@@ -155,8 +155,8 @@ def _reference_independent_set(graph, matching):
                     reachable.add(back)
                     nxt.append(back)
         frontier = nxt
-    h_ids = set(graph.horizontal_ids())
-    v_ids = set(graph.vertical_ids())
+    h_ids = set(graph.horizontal_ids)
+    v_ids = set(graph.vertical_ids)
     cover = (h_ids - reachable) | (v_ids & reachable)
     return frozenset((h_ids | v_ids) - cover)
 
@@ -176,7 +176,7 @@ def _reference_tiling(span, graph, keep):
         a, b = graph.segments[seg_id].cells
         parent[find(a)] = find(b)
     groups = {}
-    for cell in span.sorted_nodes():
+    for cell in sorted(span.nodes):
         groups.setdefault(find(cell), []).append(cell)
     bricks = []
     for cells in groups.values():
@@ -226,8 +226,8 @@ class TestFlatStagesMatchOracles:
         # any independent set tiles: here all vertical or all horizontal
         for span in _oracle_spans():
             graph = build_segment_graph(span)
-            for keep in (frozenset(graph.vertical_ids()),
-                         frozenset(graph.horizontal_ids())):
+            for keep in (frozenset(graph.vertical_ids),
+                         frozenset(graph.horizontal_ids)):
                 assert tiling_from_independent_set(span, graph, keep).bricks \
                     == _reference_tiling(span, graph, keep)
 
@@ -260,7 +260,7 @@ class TestMatchingOracle:
         import networkx as nx
 
         graph = make_graph()
-        h_ids = graph.horizontal_ids()
+        h_ids = graph.horizontal_ids
         nx_graph = nx.Graph()
         nx_graph.add_nodes_from(range(len(graph.segments)))
         nx_graph.add_edges_from(graph.edges)
@@ -334,7 +334,7 @@ class TestTiling:
     def test_fig_layout_all_vertical_gives_four(self):
         span = fig_span()
         graph = build_segment_graph(span)
-        all_vertical = frozenset(graph.vertical_ids())
+        all_vertical = frozenset(graph.vertical_ids)
         assert len(all_vertical) == 4
         assert len(tiling_from_independent_set(span, graph, all_vertical)) == 4
 

@@ -6,26 +6,23 @@ import pytest
 from turncover import bench, pipeline
 from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (
-    CoverageLoop,
     RobotParams,
     circumnavigate,
     extract_twists,
     leg_time,
-    loop_turn_count,
-    loop_to_metric,
     path_time,
     turn_term,
 )
-from turncover.grid_map import coverage_nodes_of, normalize_edge
+from turncover.grid_map import coverage_nodes_of
 from turncover.tree_builder import (
-    SpanningTree,
     dfs_tree,
     kruskal_tree,
     merge_bricks,
     tree_turns,
 )
 
-from conftest import make_span, random_connected_span
+from conftest import make_span, make_tree, normalize_edge, random_connected_span
+from oracles import loop_turn_count
 
 PARAMS = RobotParams()
 
@@ -85,7 +82,7 @@ def _reference_loop(tree, start):
 
 class TestCircumnavigate:
     def test_single_mega_cell_square_loop(self):
-        tree = SpanningTree([(0, 0)], [])
+        tree = make_tree([(0, 0)], [])
         loop = circumnavigate(tree, (0, 0))
         assert len(loop) == 4
         assert set(loop.nodes) == {(0, 0), (1, 0), (0, 1), (1, 1)}
@@ -93,7 +90,7 @@ class TestCircumnavigate:
         assert loop_turn_count(loop) == 4
 
     def test_two_cell_brick_rectangle(self):
-        tree = SpanningTree([(0, 0), (1, 0)], [((0, 0), (1, 0))])
+        tree = make_tree([(0, 0), (1, 0)], [((0, 0), (1, 0))])
         loop = circumnavigate(tree, (0, 0))
         assert len(loop) == 8
         assert loop_turn_count(loop) == 4
@@ -122,7 +119,7 @@ class TestCircumnavigate:
         assert loop.nodes[0] == (3, 1)
 
     def test_start_outside_component(self):
-        tree = SpanningTree([(0, 0)], [])
+        tree = make_tree([(0, 0)], [])
         with pytest.raises(ValueError, match="outside"):
             circumnavigate(tree, (5, 5))
 
@@ -170,8 +167,8 @@ class TestCircumnavigate:
         # is a cycle and (3, 3) hangs loose: the walk closes after 12
         # of 20 steps
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        tree = SpanningTree(square + [(3, 3)],
-                            list(zip(square, square[1:] + square[:1])))
+        tree = make_tree(square + [(3, 3)],
+                         list(zip(square, square[1:] + square[:1])))
         with pytest.raises(AssertionError, match="did not close"):
             circumnavigate(tree, (0, 0))
 
@@ -207,6 +204,15 @@ class TestExtractTwists:
     def test_non_adjacent_rejected(self):
         with pytest.raises(ValueError, match="not 4-adjacent"):
             extract_twists([(0, 0), (2, 0)])
+        # jumps whose 4x + y step reads like a unit step, and a standstill
+        for seq in ([(5, 5), (5, 6), (5, 10), (6, 10)],
+                    [(0, 1), (1, 1), (1, 0), (0, 4)],
+                    [(0, 0), (1, 0), (1, 0)]):
+            a, b = next((a, b) for a, b in zip(seq, seq[1:])
+                        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1)
+            with pytest.raises(ValueError) as info:
+                extract_twists(seq)
+            assert str(info.value) == f"nodes {a} and {b} are not 4-adjacent"
 
 
 class TestLegTime:
@@ -270,7 +276,3 @@ class TestPathTime:
         expected = 2 * leg_time(1.0, PARAMS) + turn_term(4, PARAMS)
         assert path_time(twists, PARAMS) == pytest.approx(expected)
 
-
-def test_loop_to_metric():
-    loop = CoverageLoop(((0, 0), (1, 0)), resolution_d=0.5)
-    assert loop_to_metric(loop) == [(0.25, 0.25), (0.75, 0.25)]

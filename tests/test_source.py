@@ -1,0 +1,37 @@
+"""Checks on the program's source text."""
+
+import ast
+from pathlib import Path
+
+import turncover
+
+SOURCE = Path(turncover.__file__).parent
+
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    """Functions that call themselves by name, or methods that call
+    themselves through ``self`` or ``cls``, with their line numbers."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (isinstance(callee, ast.Name) and callee.id == func.name) or (
+                    isinstance(callee, ast.Attribute)
+                    and callee.attr == func.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id in ("self", "cls")):
+                found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
+def test_no_function_calls_itself():
+    # no stage may depend on the interpreter's recursion limit
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    offenders = {path.name: _self_calls(ast.parse(path.read_text()))
+                 for path in modules}
+    assert {name: calls for name, calls in offenders.items() if calls} == {}

@@ -5,16 +5,14 @@ import pytest
 
 from turncover import bench, pipeline
 from turncover.brick_tiling import BrickSet, min_brick_tiling
-from turncover.grid_map import DisconnectedGraphError, normalize_edge
+from turncover.grid_map import DisconnectedGraphError
 from turncover.tree_builder import (
     DOWN,
     LEFT,
     RIGHT,
     TURNS,
     UP,
-    SpanningTree,
     dfs_tree,
-    edge_cost,
     kruskal_tree,
     merge_bricks,
     tree_to_text,
@@ -22,7 +20,15 @@ from turncover.tree_builder import (
     turn_count,
 )
 
-from conftest import make_span, random_connected_span
+import oracles
+from conftest import (
+    make_span,
+    make_tree,
+    normalize_edge,
+    random_connected_span,
+    span_edges,
+)
+from oracles import edge_cost
 
 
 class TestTurnCount:
@@ -76,7 +82,7 @@ class TestEdgeCost:
                 for a, b in zip(brick, brick[1:]):
                     adjacency[a].add(b)
                     adjacency[b].add(a)
-            for edge in span.edges():
+            for edge in span_edges(span):
                 assert edge_cost(edge, adjacency) in (-4, -2, 0, 2, 4)
 
 
@@ -100,7 +106,7 @@ def _reference_merge(bricks, span):
             adjacency[b].add(a)
             tree_edges.add(normalize_edge(a, b))
     heap = []
-    for edge in span.edges():
+    for edge in span_edges(span):
         if edge not in tree_edges:
             heapq.heappush(heap, (edge_cost(edge, adjacency), edge))
     components = len({find(n) for n in span.nodes})
@@ -147,11 +153,11 @@ class TestMergeBricks:
         spans.append(make_span(1, 1))
         for span in spans:
             tree = merge_bricks(min_brick_tiling(span), span)
-            public = SpanningTree(tree.nodes, tree.edges)
-            assert tree.masks == public.masks
+            public = make_tree(tree.nodes, tree.edges)
             assert tree_turns(tree) == tree_turns(public)
-            for (x, y), mask in public.masks.items():
-                assert tree.flat_masks[x * tree.height + y] == mask
+            for x, y in tree.nodes:
+                assert (tree.flat_masks[x * tree.height + y]
+                        == public.flat_masks[x * public.height + y])
 
     def test_bad_bricks_rejected(self):
         span = make_span(3, 2, obstacles=((2, 1),))
@@ -237,7 +243,7 @@ def audit_greedy_is_locally_optimal(span, bricks, tree):
     remaining = set(connectors)
     while remaining:
         candidates = [
-            e for e in span.edges()
+            e for e in span_edges(span)
             if find(e[0]) != find(e[1])
         ]
         best = min(edge_cost(e, adjacency) for e in candidates)
@@ -255,24 +261,12 @@ def audit_greedy_is_locally_optimal(span, bricks, tree):
 
 class TestSpanningTree:
     def test_masks_record_leaving_edges(self):
-        tree = SpanningTree([(0, 0), (1, 0), (1, 1)],
-                            [((1, 1), (1, 0)), ((0, 0), (1, 0))])
-        assert tree.masks == {(0, 0): RIGHT, (1, 0): LEFT | DOWN,
-                              (1, 1): UP}
-
-    def test_edge_off_the_nodes_rejected(self):
-        with pytest.raises(ValueError, match="leaves the tree's nodes"):
-            SpanningTree([(0, 0), (1, 0)], [((0, 0), (0, 1))])
-
-    def test_negative_coordinates_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            SpanningTree([(-1, 0), (0, 0)], [((-1, 0), (0, 0))])
-
-    def test_edge_longer_than_one_step_rejected(self):
-        for a, b in (((0, 0), (2, 0)), ((0, 0), (1, 1)), ((0, 1), (1, 0)),
-                     ((0, 0), (0, 0))):
-            with pytest.raises(ValueError, match="one unit step"):
-                SpanningTree({a, b}, [(a, b)])
+        span = make_span(2, 2, obstacles=((0, 1),))
+        for tree in (dfs_tree(span, (0, 0)), kruskal_tree(span, 0),
+                     merge_bricks(min_brick_tiling(span), span)):
+            # ids x * 2 + y: (0, 0) is 0, (1, 0) is 2 and (1, 1) is 3
+            assert list(tree.flat_masks) == [RIGHT, 0, LEFT | DOWN, UP]
+            assert tree.edges == {((0, 0), (1, 0)), ((1, 0), (1, 1))}
 
 
 class TestBaselineTrees:
@@ -306,6 +300,36 @@ class TestBaselineTrees:
         span = make_span(4, 1)
         assert len(kruskal_tree(span, 0).edges) == 3
 
+    def test_match_coordinate_oracles(self, rng):
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(60)]
+        spans.append(make_span(1, 1))
+        for span in spans:
+            for root in (min(span.nodes), rng.choice(sorted(span.nodes))):
+                assert dfs_tree(span, root).edges == oracles.dfs_tree(span, root)
+            for seed in (0, 1, 42):
+                assert (kruskal_tree(span, seed).edges
+                        == oracles.kruskal_tree(span, seed))
+
+    @pytest.mark.parametrize("mega", [80, 120])
+    def test_match_coordinate_oracles_at_scale(self, mega):
+        span = pipeline.build_component(
+            bench.generate_random_map((mega, mega), 0.1, mega), None)
+        root = min(span.nodes)
+        assert dfs_tree(span, root).edges == oracles.dfs_tree(span, root)
+        for seed in (0, 7):
+            assert (kruskal_tree(span, seed).edges
+                    == oracles.kruskal_tree(span, seed))
+
+    def test_bad_input_rejected(self):
+        split = make_span(3, 1, obstacles=((1, 0),))
+        with pytest.raises(DisconnectedGraphError):
+            dfs_tree(split, (0, 0))
+        with pytest.raises(DisconnectedGraphError):
+            kruskal_tree(split, 0)
+        with pytest.raises(ValueError, match="not a spanning node"):
+            dfs_tree(split, (1, 0))
+
 
 class TestTreeTurns:
     def test_strip(self):
@@ -315,7 +339,7 @@ class TestTreeTurns:
             assert tree_turns(tree) == 4
 
     def test_single_node(self):
-        assert tree_turns(SpanningTree([(0, 0)], [])) == 4
+        assert tree_turns(make_tree([(0, 0)], [])) == 4
 
     def test_sum_of_turn_count_over_neighbours(self, rng):
         for _ in range(20):
