@@ -169,7 +169,13 @@ class LoopCostModel:
         self._rank = list(accumulate(turning * 2))
         runs = list(map(sub, doubled[1:], doubled))
         legs = [leg_time(n * d, params) for n in range(max(runs) + 1)]
-        turns = [turn_term(n, params) for n in range(2 * len(turn_idx) + 5)]
+        # turn_term(n) for every n in its operation order, bit for bit;
+        # the terms grow with n, so its finiteness check on the largest
+        # one covers them all
+        top = 2 * len(turn_idx) + 4
+        turn_term(top, params)
+        four_omega = 4 * params.omega
+        turns = [max(0, n - 2) * math.pi / four_omega for n in range(top + 1)]
         ratios = [v.as_integer_ratio() for v in legs + turns]
         self._scale = scale = max(den for _, den in ratios)
         exact = [num * (scale // den) for num, den in ratios]

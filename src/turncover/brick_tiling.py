@@ -7,17 +7,34 @@ conflict graph (horizontal vs. vertical, edges between perpendicular
 borders sharing a lattice endpoint), a maximum independent set of that
 graph is the largest deletable border set, and brick count equals
 free cells minus deleted borders. The independent set comes from a
-maximum matching (Hopcroft-Karp) and the Koenig vertex-cover
+maximum matching (Pothen and Fan, 1990) and the Koenig vertex-cover
 construction.
+
+Every stage works on flat arrays indexed by segment id. A segment is the
+border below or right of its first cell, so it is stored as that cell's
+id ``x * H + y`` and one orientation byte; :class:`Segment` tuples with
+coordinates are derived on access, for tests and the public boundary.
+
+The matching starts from a greedy one and then runs phases. A phase is
+one depth-first search along alternating paths from every free
+horizontal segment, and the roots share one set of seen vertical
+segments, so a phase passes over the graph once. On entering a
+horizontal segment a search first checks, from a lookahead pointer,
+whether one of its neighbours is still free; matched segments never
+become free again, so the pointer only moves forward and keeps its place
+across phases. The neighbours are scanned in ascending order in one
+phase and in descending order in the next (the fairness of Duff, Kaya
+and Ucar, 2011). The search stops after a phase that augments nothing.
+That last phase searches every alternating path from the free
+horizontal segments: it sees exactly the set the Koenig step reaches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, groupby, repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import and_, ne
 from typing import NamedTuple
 
 from .grid_map import Coord, SpanningGraph
@@ -25,6 +42,8 @@ from .grid_map import Coord, SpanningGraph
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 _RIGHT, _DOWN = 1, 2  # a cell's deleted border, in tiling_from_independent_set
+_SWAP = bytes.maketrans(b"\0\1", b"\1\0")  # orientation byte -> horizontal flag
+_IS_ID = (-1).__lt__  # a segment id, not the -1 of no segment
 
 
 class Segment(NamedTuple):
@@ -48,26 +67,54 @@ class Segment(NamedTuple):
 
 @dataclass(frozen=True)
 class SegmentGraph:
-    segments: tuple[Segment, ...]
-    edges: tuple[tuple[int, int], ...]  # (horizontal id, vertical id)
+    """The conflict graph on flat arrays by segment id.
 
-    @cached_property
-    def horizontal_ids(self) -> list[int]:
-        return [s.id for s in self.segments if s.orientation == HORIZONTAL]
+    Segment ``s`` is the border right of (``vertical[s] == 1``) or below
+    (``0``) the cell with id ``first_cell[s]``. Ids follow the cell ids,
+    the horizontal segment of a cell before its vertical one.
+    ``adjacency[h]`` lists the vertical neighbours of a horizontal
+    segment in ascending id order; the vertical segments and the
+    horizontal ones without a neighbour share one empty tuple.
+    """
 
-    @cached_property
-    def vertical_ids(self) -> list[int]:
-        return [s.id for s in self.segments if s.orientation == VERTICAL]
+    height: int  # of the mega grid, to turn cell ids into coordinates
+    first_cell: list[int]
+    vertical: bytes
+    horizontal_ids: list[int]
+    vertical_ids: list[int]
+    adjacency: list[Sequence[int]]
+    edges: tuple[tuple[int, int], ...]  # (horizontal id, vertical id), sorted
 
-    @cached_property
-    def adjacency(self) -> list[Sequence[int]]:
-        """Vertical neighbours of every segment, by id, ascending (``edges``
-        is sorted); one shared empty tuple for the vertical segments and
-        the horizontal ones without a neighbour."""
-        adj: list[Sequence[int]] = [()] * len(self.segments)
-        for h, group in groupby(self.edges, itemgetter(0)):
-            adj[h] = [v for _, v in group]
-        return adj
+    @property
+    def segments(self) -> Sequence[Segment]:
+        """The segments as coordinate tuples, built on access."""
+        return _Segments(self)
+
+
+class _Segments(Sequence):
+    """Read-only view of a graph's segments; ``len`` builds no tuple."""
+
+    def __init__(self, graph: SegmentGraph):
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.first_cell)
+
+    def __getitem__(self, index):
+        ids = range(len(self._graph.first_cell))[index]
+        if isinstance(ids, range):
+            return tuple(map(self._segment, ids))
+        return self._segment(ids)
+
+    def __iter__(self) -> Iterator[Segment]:
+        return map(self._segment, range(len(self._graph.first_cell)))
+
+    def _segment(self, s: int) -> Segment:
+        graph = self._graph
+        x, y = divmod(graph.first_cell[s], graph.height)
+        if graph.vertical[s]:
+            return Segment(s, VERTICAL, ((x, y), (x + 1, y)))
+        return Segment(s, HORIZONTAL, ((x, y), (x, y + 1)))
 
 
 @dataclass(frozen=True)
@@ -87,109 +134,118 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     The horizontal border below ``(x, y)`` ends at the lattice points
     ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
     vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
-    ``(x, y)`` and ``(x, y + 1)``: ids ``i - H``, ``i - H + 1``, ``i``
-    and ``i + 1`` from the cell's id ``i``. Segment ids follow the node
+    ``(x, y)`` and ``(x, y + 1)``: cells ``i - H``, ``i - H + 1``, ``i``
+    and ``i + 1`` from the cell's id ``i``. Segment ids follow the cell
     ids, so those come in ascending order and the edges come out sorted.
     """
     height = span.mega_height
     free = span.free
+    ids = span.ids
     n = len(free)
-    segments: list[Segment] = []
-    below: list[tuple[int, int]] = []  # (segment id, cell id) of horizontal ones
-    right_of = [-1] * (n + height)  # cell id + H -> id of the vertical one
-    for i in span.ids:
-        x, y = divmod(i, height)
-        if y + 1 < height and free[i + 1]:
-            below.append((len(segments), i))
-            segments.append(
-                Segment(len(segments), HORIZONTAL, ((x, y), (x, y + 1)))
-            )
-        if i + height < n and free[i + height]:
-            right_of[i + height] = len(segments)
-            segments.append(
-                Segment(len(segments), VERTICAL, ((x, y), (x + 1, y)))
-            )
-    edges = []
-    for h, i in below:
-        for v in (right_of[i], right_of[i + 1],
-                  right_of[i + height], right_of[i + height + 1]):
-            if v >= 0:
-                edges.append((h, v))
-    return SegmentGraph(tuple(segments), tuple(edges))
+    below = bytearray(free[1:] + b"\0")
+    below[height - 1::height] = bytes(len(range(height - 1, n, height)))
+    down = bytes(map(and_, free, below))  # per cell id: a border below
+    across = bytes(map(and_, free, free[height:] + bytes(height)))  # right
+    # two slots per node, below then right; a border fills one
+    filled = bytearray(2 * len(ids))
+    filled[0::2] = compress(down, free)
+    filled[1::2] = compress(across, free)
+    slots = [0] * len(filled)
+    slots[0::2] = slots[1::2] = ids
+    first_cell = list(compress(slots, filled))
+    vertical = bytes(compress(b"\0\1" * len(ids), filled))
+    size = len(first_cell)
+    h_ids = list(compress(range(size), vertical.translate(_SWAP)))
+    v_ids = list(compress(range(size), vertical))
+    right_of = [-1] * (n + height + 1)  # cell id + H -> its vertical segment
+    for v in v_ids:
+        right_of[first_cell[v] + height] = v
+    # per cell id i: the vertical segments right of i - H, i - H + 1, i, i + 1
+    around = zip(right_of, right_of[1:], right_of[height:],
+                 right_of[height + 1:])
+    nbrs = map(tuple, map(filter, repeat(_IS_ID), compress(around, down)))
+    adjacency: list[Sequence[int]] = [()] * size
+    for h, vs in zip(h_ids, nbrs):
+        adjacency[h] = vs
+    edges = tuple((h, v) for h in h_ids for v in adjacency[h])
+    return SegmentGraph(height, first_cell, vertical, h_ids, v_ids,
+                        adjacency, edges)
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     """Maximum-cardinality matching of the bipartite segment graph.
 
-    Hopcroft-Karp on flat arrays indexed by segment id, seeded with a
-    greedy matching (each horizontal segment takes its first free
-    neighbour). Each phase layers the horizontal segments by a BFS along
-    alternating paths from the free ones, then runs one DFS per free root
-    with an explicit stack and per-vertex edge pointers; it climbs one
-    layer per step, augments at the first free vertical segment, and
-    drops a segment whose edges are exhausted from its layer. The BFS
-    layers everything reachable instead of stopping at the shortest
-    augmenting path, so a phase also takes longer vertex-disjoint paths:
-    on 120x120-mega grids that means about 10 phases instead of 53.
-    Neighbours are scanned in ascending id order, so the result is
+    Pothen-Fan on flat arrays indexed by segment id, seeded with a greedy
+    matching (each horizontal segment takes its first free neighbour).
+    Each phase runs one depth-first search with an explicit stack from
+    every free horizontal segment; the searches of a phase share one
+    ``seen`` flag per vertical segment, so none is entered twice. On
+    entering a horizontal segment the search first moves its lookahead
+    pointer past the matched neighbours: a free one ends the search and
+    the path on the stack is flipped. The pointer keeps its place across
+    phases, because a matched segment never becomes free again. Otherwise
+    the search descends through the first unseen neighbour to its mate,
+    scanning ascending ids in one phase and descending ids in the next.
+    A phase that augments nothing proves the matching maximum; the search
+    also stops when every horizontal segment is matched. The result is
     deterministic.
     """
-    n = len(graph.segments)
-    h_ids = graph.horizontal_ids
+    size = len(graph.first_cell)
     adj = graph.adjacency
-    match_h = [-1] * n
-    match_v = [-1] * n
-    for h in h_ids:
-        for v in adj[h]:
+    match_h = [-1] * size
+    match_v = [-1] * size
+    look = [0] * size  # per horizontal segment: neighbours before it are matched
+    free = []
+    for h in graph.horizontal_ids:
+        for i, v in enumerate(adj[h]):
             if match_v[v] < 0:
                 match_h[h], match_v[v] = v, h
+                look[h] = i + 1
                 break
-    while True:
-        free = [h for h in h_ids if match_h[h] < 0]
-        layer = [-1] * n
-        for h in free:
-            layer[h] = 0
-        augmentable = False
-        frontier = free
-        while frontier:
-            nxt = []
-            for h in frontier:
-                d = layer[h] + 1
-                for v in adj[h]:
-                    w = match_v[v]
-                    if w < 0:
-                        augmentable = True
-                    elif layer[w] < 0:
-                        layer[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        if not augmentable:
-            break
-        ptr = [0] * n
+        else:
+            free.append(h)
+    scan = iter  # the phase's neighbour order: ascending and descending in turn
+    while free:
+        seen = bytearray(size)
+        augmented = False
         for root in free:
-            stack = [root]
-            while stack:
-                h = stack[-1]
-                edges, i, d = adj[h], ptr[h], layer[h] + 1
-                while i < len(edges):
-                    w = match_v[edges[i]]
-                    if w < 0 or layer[w] == d:
-                        break
+            # scans[j] is the paused neighbour scan of path[j]
+            h, path, scans = root, [root], []
+            while True:  # h has just been entered
+                edges, i = adj[h], look[h]
+                end = len(edges)
+                while i < end and match_v[edges[i]] >= 0:
                     i += 1
-                ptr[h] = i
-                if i == len(edges):  # dead end
-                    layer[h] = -1
-                    stack.pop()
-                    if stack:
-                        ptr[stack[-1]] += 1
-                elif w >= 0:
-                    stack.append(w)
-                else:  # free vertical segment: flip the path on the stack
-                    for u in stack:
-                        v = adj[u][ptr[u]]
-                        match_h[u], match_v[v] = v, u
+                look[h] = i
+                if i < end:  # a free neighbour: flip the path
+                    v = edges[i]
+                    for u in reversed(path):
+                        match_h[u], match_v[v], v = v, u, match_h[u]
+                    augmented = True
                     break
-    return frozenset((h, match_h[h]) for h in h_ids if match_h[h] >= 0)
+                it = scan(edges)
+                while True:  # the first unseen neighbour, backing up as needed
+                    for v in it:
+                        if not seen[v]:
+                            seen[v] = 1
+                            break
+                    else:
+                        path.pop()
+                        if scans:
+                            it = scans.pop()
+                            continue
+                    break
+                if not path:  # the root is exhausted
+                    break
+                scans.append(it)
+                h = match_v[v]
+                path.append(h)
+        if not augmented:
+            break
+        free = [h for h in free if match_h[h] < 0]
+        scan = reversed if scan is iter else iter
+    return frozenset((h, match_h[h]) for h in graph.horizontal_ids
+                     if match_h[h] >= 0)
 
 
 def max_independent_set(
@@ -200,17 +256,18 @@ def max_independent_set(
     is a maximum independent set of size |segments| - |matching|.
 
     The cover is the unreached horizontal and the reached vertical
-    segments, so the set keeps the reached horizontal and the unreached
-    vertical ones. One BFS over flat lists by segment id.
+    segments, so the set keeps the segments whose reached flag differs
+    from their orientation byte. One BFS over flat lists by segment id.
     """
-    n = len(graph.segments)
+    size = len(graph.first_cell)
     adj = graph.adjacency
-    match_h = [-1] * n
-    match_v = [-1] * n
+    match_v = [-1] * size
+    matched = bytearray(size)
     for h, v in matching:
-        match_h[h], match_v[v] = v, h
-    reached = bytearray(n)
-    frontier = [h for h in graph.horizontal_ids if match_h[h] < 0]
+        match_v[v] = h
+        matched[h] = 1
+    frontier = [h for h in graph.horizontal_ids if not matched[h]]
+    reached = bytearray(size)
     for h in frontier:
         reached[h] = 1
     for h in frontier:  # grows while it is read
@@ -221,10 +278,7 @@ def max_independent_set(
                 if back >= 0 and not reached[back]:
                     reached[back] = 1
                     frontier.append(back)
-    return frozenset(
-        s.id for s in graph.segments
-        if (s.orientation == HORIZONTAL) == bool(reached[s.id])
-    )
+    return frozenset(compress(range(size), map(ne, graph.vertical, reached)))
 
 
 def tiling_from_independent_set(
@@ -242,10 +296,9 @@ def tiling_from_independent_set(
     free = span.free
     n = len(free)
     link = bytearray(n)  # per cell id: the border deleted right or below
-    for seg_id in keep:
-        seg = graph.segments[seg_id]
-        x, y = seg.cells[0]
-        link[x * height + y] |= _RIGHT if seg.orientation == VERTICAL else _DOWN
+    first_cell, vertical = graph.first_cell, graph.vertical
+    for s in keep:
+        link[first_cell[s]] |= _RIGHT if vertical[s] else _DOWN
     todo = bytearray(free)
     bricks = []
     for y in range(height):

@@ -3,9 +3,10 @@
 Slow and written for clarity on coordinate tuples: exhaustive searches
 for small instances, a bottleneck DP over cut positions for the min-max
 partition, the feasibility sweep priced one ``LoopCostModel.arc_cost``
-call at a time, the per-pair twist finder and loop turn count, the
-turn-cost delta of one edge on neighbour sets, and the DFS and Kruskal
-baseline trees as coordinate edge lists.
+call at a time, the segment graph built from coordinates and endpoint
+buckets, Hopcroft-Karp matching, the per-pair twist finder and loop turn
+count, the turn-cost delta of one edge on neighbour sets, and the DFS and
+Kruskal baseline trees as coordinate edge lists.
 """
 
 from __future__ import annotations
@@ -13,8 +14,11 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable
+from itertools import groupby
+from operator import itemgetter
 
 from turncover.balance import LoopCostModel, RobotStart, arc_cost
+from turncover.brick_tiling import HORIZONTAL, VERTICAL, Segment, SegmentGraph
 from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
 from turncover.grid_map import Coord, DisconnectedGraphError, SpanningGraph
 from turncover.tree_builder import turn_count
@@ -202,6 +206,111 @@ def brute_force_min_tiling(span: SpanningGraph) -> int:
         return best
 
     return solve(frozenset(span.nodes))
+
+
+class ReferenceSegmentGraph:
+    """The conflict graph built from coordinates: one ``Segment`` per pair
+    of adjacent nodes in sorted node order (the border below a node
+    before the one right of it), edges from buckets of segments by
+    lattice endpoint, then the id lists and adjacency derived from
+    those."""
+
+    def __init__(self, span: SpanningGraph):
+        nodes = span.nodes
+        segments = []
+        for x, y in sorted(nodes):
+            if (x, y + 1) in nodes:
+                segments.append(
+                    Segment(len(segments), HORIZONTAL, ((x, y), (x, y + 1))))
+            if (x + 1, y) in nodes:
+                segments.append(
+                    Segment(len(segments), VERTICAL, ((x, y), (x + 1, y))))
+        by_point: dict[Coord, dict[str, list[int]]] = {}
+        for seg in segments:
+            for pt in seg.endpoints():
+                by_point.setdefault(pt, {HORIZONTAL: [], VERTICAL: []})[
+                    seg.orientation].append(seg.id)
+        self.segments = tuple(segments)
+        self.edges = tuple(sorted(
+            {(h, v) for buckets in by_point.values()
+             for h in buckets[HORIZONTAL] for v in buckets[VERTICAL]}))
+        self.horizontal_ids = [s.id for s in segments
+                               if s.orientation == HORIZONTAL]
+        self.vertical_ids = [s.id for s in segments
+                             if s.orientation == VERTICAL]
+        self.adjacency: list = [()] * len(segments)
+        for h, group in groupby(self.edges, itemgetter(0)):
+            self.adjacency[h] = tuple(v for _, v in group)
+
+
+def hopcroft_karp(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
+    """Maximum matching of the segment graph by Hopcroft-Karp.
+
+    Seeded with the same greedy matching as ``maximum_matching``. Each
+    phase layers the horizontal segments by a BFS along alternating paths
+    from the free ones, then runs one DFS per free root with an explicit
+    stack and per-vertex edge pointers; it climbs one layer per step,
+    augments at the first free vertical segment, and drops a segment
+    whose edges are exhausted from its layer. The BFS layers everything
+    reachable instead of stopping at the shortest augmenting path, so a
+    phase also takes longer vertex-disjoint paths.
+    """
+    n = len(graph.segments)
+    h_ids = graph.horizontal_ids
+    adj = graph.adjacency
+    match_h = [-1] * n
+    match_v = [-1] * n
+    for h in h_ids:
+        for v in adj[h]:
+            if match_v[v] < 0:
+                match_h[h], match_v[v] = v, h
+                break
+    while True:
+        free = [h for h in h_ids if match_h[h] < 0]
+        layer = [-1] * n
+        for h in free:
+            layer[h] = 0
+        augmentable = False
+        frontier = free
+        while frontier:
+            nxt = []
+            for h in frontier:
+                d = layer[h] + 1
+                for v in adj[h]:
+                    w = match_v[v]
+                    if w < 0:
+                        augmentable = True
+                    elif layer[w] < 0:
+                        layer[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        if not augmentable:
+            break
+        ptr = [0] * n
+        for root in free:
+            stack = [root]
+            while stack:
+                h = stack[-1]
+                edges, i, d = adj[h], ptr[h], layer[h] + 1
+                while i < len(edges):
+                    w = match_v[edges[i]]
+                    if w < 0 or layer[w] == d:
+                        break
+                    i += 1
+                ptr[h] = i
+                if i == len(edges):  # dead end
+                    layer[h] = -1
+                    stack.pop()
+                    if stack:
+                        ptr[stack[-1]] += 1
+                elif w >= 0:
+                    stack.append(w)
+                else:  # free vertical segment: flip the path on the stack
+                    for u in stack:
+                        v = adj[u][ptr[u]]
+                        match_h[u], match_v[v] = v, u
+                    break
+    return frozenset((h, match_h[h]) for h in h_ids if match_h[h] >= 0)
 
 
 def _direction(a: Coord, b: Coord) -> Coord:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from turncover import bench, pipeline
+from turncover import bench, brick_tiling, pipeline
 from turncover.brick_tiling import (
     HORIZONTAL,
     VERTICAL,
@@ -17,7 +17,7 @@ from turncover.brick_tiling import (
 )
 
 from conftest import make_span, random_connected_span
-from oracles import brute_force_min_tiling
+from oracles import ReferenceSegmentGraph, brute_force_min_tiling, hopcroft_karp
 
 # 3x4 grid with four obstacles reconstructing the worked border-deletion
 # example: 8 free cells, 4 vertical borders, best deletable set of 5.
@@ -26,21 +26,6 @@ FIG_OBSTACLES = ((1, 0), (1, 1), (2, 0), (3, 0))
 
 def fig_span():
     return make_span(4, 3, FIG_OBSTACLES)
-
-
-def _reference_segment_graph(span):
-    """The conflict graph as the endpoint buckets build it: index every
-    segment by its two lattice endpoints, join each horizontal with each
-    vertical segment of a bucket, then sort the edge set."""
-    graph = build_segment_graph(span)
-    by_point = {}
-    for seg in graph.segments:
-        for pt in seg.endpoints():
-            by_point.setdefault(pt, {HORIZONTAL: [], VERTICAL: []})[
-                seg.orientation].append(seg.id)
-    edges = {(h, v) for buckets in by_point.values()
-             for h in buckets[HORIZONTAL] for v in buckets[VERTICAL]}
-    return tuple(sorted(edges))
 
 
 class TestSegmentGraph:
@@ -90,7 +75,7 @@ class TestSegmentGraph:
             for seed in range(3)]
         for span in spans:
             graph = build_segment_graph(span)
-            assert graph.edges == _reference_segment_graph(span)
+            assert graph.edges == ReferenceSegmentGraph(span).edges
             segment_order = [s.cells[0] for s in graph.segments]
             assert segment_order == sorted(segment_order)
 
@@ -270,6 +255,140 @@ class TestMatchingOracle:
         assert len(matching) == len(reference)
         assert max_independent_set(graph, matching) == max_independent_set(
             graph, reference)
+
+
+def artifact_spans():
+    """The maps of the plan-large-* and *-scale artifacts."""
+    return [pipeline.build_component(bench.generate_random_map(*args), None)
+            for args in (((40, 40), 0.15, 3), ((80, 80), 0.1, 7))]
+
+
+class TestSegmentView:
+    """The flat arrays of the segment graph against the coordinate
+    construction they replaced."""
+
+    @pytest.mark.parametrize("spans", [_oracle_spans, artifact_spans],
+                             ids=["oracle-spans", "artifact-maps"])
+    def test_matches_coordinate_construction(self, spans):
+        for span in spans():
+            graph = build_segment_graph(span)
+            ref = ReferenceSegmentGraph(span)
+            view = graph.segments
+            assert len(view) == len(ref.segments)
+            assert tuple(view) == ref.segments
+            assert [view[i] for i in range(len(view))] == list(ref.segments)
+            assert [s.endpoints() for s in view] == [
+                s.endpoints() for s in ref.segments]
+            if ref.segments:
+                assert view[-1] == ref.segments[-1]
+                assert view[1::2] == ref.segments[1::2]
+            assert graph.horizontal_ids == ref.horizontal_ids
+            assert graph.vertical_ids == ref.vertical_ids
+            assert graph.adjacency == ref.adjacency
+            assert graph.edges == ref.edges
+
+    def test_len_builds_no_segment(self, monkeypatch):
+        graph = build_segment_graph(make_span(4, 3))
+
+        def refuse(*args):
+            raise AssertionError("a Segment was built")
+
+        monkeypatch.setattr(brick_tiling, "Segment", refuse)
+        assert len(graph.segments) == 17
+        with pytest.raises(AssertionError, match="was built"):
+            graph.segments[0]
+
+    def test_index_out_of_range(self):
+        view = build_segment_graph(make_span(2, 2)).segments
+        with pytest.raises(IndexError):
+            view[4]
+        assert list(view) == list(view[:]) and len(view[4:]) == 0
+
+
+def serpentine_span(corridors, width, length):
+    """Vertical corridors ``width`` columns wide and ``length`` rows long,
+    side by side behind one-column walls that open at the bottom and at
+    the top in turn."""
+    walls = []
+    for k in range(corridors - 1):
+        x = k * (width + 1) + width
+        gap = length - 1 if k % 2 == 0 else 0
+        walls += [(x, y) for y in range(length) if y != gap]
+    return make_span(corridors * (width + 1) - 1, length, walls)
+
+
+def comb_span(teeth, length, spine):
+    """A spine ``spine`` columns wide down the left edge and ``teeth``
+    one-row teeth ``length`` cells long to its right, one row apart."""
+    height = 2 * teeth - 1
+    gaps = [(x, y) for x in range(spine, spine + length)
+            for y in range(1, height, 2)]
+    return make_span(spine + length, height, gaps)
+
+
+def random_obstacle_span(mega, ratio, seed):
+    """A mega x mega grid with each cell blocked with probability
+    ``ratio``; not necessarily connected, which the tiling does not
+    need."""
+    rng = random.Random(seed)
+    return make_span(mega, mega, [(x, y) for x in range(mega)
+                                  for y in range(mega) if rng.random() < ratio])
+
+
+class TestMatchingDifferential:
+    """Pothen-Fan against the Hopcroft-Karp oracle: a valid matching of
+    the same size, and the same Koenig set and bricks, which do not
+    depend on which maximum matching is taken."""
+
+    @staticmethod
+    def check(span):
+        graph = build_segment_graph(span)
+        matching = maximum_matching(graph)
+        edges = set(graph.edges)
+        assert matching <= edges
+        used = [x for pair in matching for x in pair]
+        assert len(used) == len(set(used))
+        reference = hopcroft_karp(graph)
+        assert len(matching) == len(reference)
+        keep = max_independent_set(graph, matching)
+        assert keep == max_independent_set(graph, reference)
+        assert min_brick_tiling(span).bricks == tiling_from_independent_set(
+            span, graph, keep).bricks
+
+    def test_oracle_spans(self):
+        for span in _oracle_spans():
+            self.check(span)
+
+    @pytest.mark.parametrize("mega", [30, 40])
+    @pytest.mark.parametrize("ratio", [0.05, 0.1, 0.2, 0.3])
+    def test_random_maps(self, mega, ratio):
+        for seed in range(2):
+            self.check(random_obstacle_span(mega, ratio, seed))
+
+    @pytest.mark.parametrize("span", [
+        make_span(1, 30), make_span(30, 1), make_span(1, 1),
+        make_span(5, 5, [(x, y) for x in range(5) for y in range(5)
+                         if (x + y) % 2]),
+    ], ids=["strip-1xn", "strip-nx1", "single-cell", "isolated-cells"])
+    def test_edgeless_spans(self, span):
+        assert build_segment_graph(span).edges == ()
+        self.check(span)
+
+    @pytest.mark.parametrize("span", [
+        serpentine_span(6, 2, 40), serpentine_span(5, 3, 30),
+        serpentine_span(4, 4, 25), comb_span(12, 15, 2), comb_span(10, 12, 4),
+    ], ids=["serpentine-w2", "serpentine-w3", "serpentine-w4", "comb-w2",
+            "comb-w4"])
+    def test_long_path_families(self, span):
+        # the greedy seed falls short here, and the augmenting paths the
+        # phases must find run through 22 to 41 horizontal segments
+        graph = build_segment_graph(span)
+        mate = set()
+        for h in graph.horizontal_ids:
+            free = [v for v in graph.adjacency[h] if v not in mate]
+            mate.update(free[:1])
+        assert len(mate) < len(hopcroft_karp(graph))
+        self.check(span)
 
 
 def test_tiling_does_not_recurse():

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from turncover import balance, bench, cli, pipeline
+from turncover import balance, bench, brick_tiling, cli, pipeline
+
+from oracles import ReferenceSegmentGraph, hopcroft_karp
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -106,3 +108,24 @@ def test_sweep_wrapper_sees_every_probe(tracing, monkeypatch):
         tracer.uninstall()
     metrics = tracer.layer_metrics(plans=1, maps=1)
     assert metrics["balance.greedy_calls"] == len(probes)
+
+
+def test_tiling_counters_match_oracles(tracing, monkeypatch):
+    # the counters read the graph and the matching the spans return; the
+    # segment count must come from the arrays, not from Segment tuples
+    grid = bench.generate_random_map((40, 40), 0.15, 3)
+    span = pipeline.build_component(grid, None)
+    graph = brick_tiling.build_segment_graph(span)
+    matching = brick_tiling.maximum_matching(graph)
+    ref = ReferenceSegmentGraph(span)
+
+    def refuse(*args):
+        raise AssertionError("a Segment was built")
+
+    monkeypatch.setattr(brick_tiling, "Segment", refuse)
+    counters = tracing.COUNTERS
+    assert counters["brick_tiling.build_segment_graph"]((span,), graph) == {
+        "brick_tiling.segments": len(ref.segments),
+        "brick_tiling.conflict_edges": len(ref.edges)}
+    assert counters["brick_tiling.maximum_matching"]((graph,), matching) == {
+        "brick_tiling.matching_size": len(hopcroft_karp(graph))}
