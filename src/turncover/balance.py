@@ -262,12 +262,6 @@ class LoopCostModel:
         self._aim(first, first + offset)
         return arc_length - 1, offset
 
-    def sweep(self, start: int, span: int) -> float:
-        """Time of a one-way sweep covering ``span + 1`` nodes forward
-        from loop index ``start`` (span 0 is a standstill)."""
-        self._aim(start, start)
-        return self._cost(span)
-
     def arc_cost(self, arc_start: int, arc_length: int, anchor: int) -> float:
         """Equivalent of module-level :func:`arc_cost` on cyclic indices."""
         span, _ = self._aim_arc(arc_start, arc_length, anchor)

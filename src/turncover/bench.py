@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from . import pipeline, tree_builder
 from .coverage_path import RobotParams
 from .grid_map import Coord, GridMap, coverage_nodes_of, flood_fill
-
-TREE_METHODS = ("tmstc", "dfs", "kruskal")
+from .pipeline import TREE_METHODS
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ construction.
 
 Every stage works on flat arrays indexed by segment id. A segment is the
 border below or right of its first cell, so it is stored as that cell's
-id ``x * H + y`` and one orientation byte; :class:`Segment` tuples with
-coordinates are derived on access, for tests and the public boundary.
+id ``x * H + y`` and one orientation byte. The segments are the edges of
+the spanning graph, so those two arrays are ``SpanningGraph.borders``
+itself. :class:`Segment` tuples with coordinates and the sorted conflict
+pairs ``SegmentGraph.edges`` are derived on access, for tests and the
+public boundary.
 
 The matching starts from a greedy one and then runs phases. A phase is
 one depth-first search along alternating paths from every free
@@ -33,8 +36,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, repeat
-from operator import and_, ne
+from operator import ne
 from typing import NamedTuple
 
 from .grid_map import Coord, SpanningGraph
@@ -83,7 +87,12 @@ class SegmentGraph:
     horizontal_ids: list[int]
     vertical_ids: list[int]
     adjacency: list[Sequence[int]]
-    edges: tuple[tuple[int, int], ...]  # (horizontal id, vertical id), sorted
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The ``(horizontal id, vertical id)`` pairs, sorted."""
+        return tuple((h, v) for h in self.horizontal_ids
+                     for v in self.adjacency[h])
 
     @property
     def segments(self) -> Sequence[Segment]:
@@ -128,48 +137,36 @@ class BrickSet:
 
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
-    """One segment per adjacent free pair; edges join perpendicular
-    segments sharing a geometric endpoint (parallel ones never connect).
+    """One segment per edge of ``span.borders``, whose arrays it keeps;
+    edges join perpendicular segments sharing a geometric endpoint
+    (parallel ones never connect).
 
     The horizontal border below ``(x, y)`` ends at the lattice points
     ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
     vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
     ``(x, y)`` and ``(x, y + 1)``: cells ``i - H``, ``i - H + 1``, ``i``
     and ``i + 1`` from the cell's id ``i``. Segment ids follow the cell
-    ids, so those come in ascending order and the edges come out sorted.
+    ids, so those come in ascending order.
     """
     height = span.mega_height
-    free = span.free
-    ids = span.ids
-    n = len(free)
-    below = bytearray(free[1:] + b"\0")
-    below[height - 1::height] = bytes(len(range(height - 1, n, height)))
-    down = bytes(map(and_, free, below))  # per cell id: a border below
-    across = bytes(map(and_, free, free[height:] + bytes(height)))  # right
-    # two slots per node, below then right; a border fills one
-    filled = bytearray(2 * len(ids))
-    filled[0::2] = compress(down, free)
-    filled[1::2] = compress(across, free)
-    slots = [0] * len(filled)
-    slots[0::2] = slots[1::2] = ids
-    first_cell = list(compress(slots, filled))
-    vertical = bytes(compress(b"\0\1" * len(ids), filled))
+    first_cell, vertical = span.borders
+    horizontal = vertical.translate(_SWAP)
     size = len(first_cell)
-    h_ids = list(compress(range(size), vertical.translate(_SWAP)))
+    h_ids = list(compress(range(size), horizontal))
     v_ids = list(compress(range(size), vertical))
-    right_of = [-1] * (n + height + 1)  # cell id + H -> its vertical segment
+    right_of = [-1] * (len(span.free) + height + 1)  # cell id + H -> segment
     for v in v_ids:
         right_of[first_cell[v] + height] = v
-    # per cell id i: the vertical segments right of i - H, i - H + 1, i, i + 1
-    around = zip(right_of, right_of[1:], right_of[height:],
-                 right_of[height + 1:])
-    nbrs = map(tuple, map(filter, repeat(_IS_ID), compress(around, down)))
+    # per horizontal segment below cell i: the vertical segments right of
+    # i - H, i - H + 1, i and i + 1
+    cells = list(compress(first_cell, horizontal))
+    around = zip(*[map(r.__getitem__, cells) for r in (
+        right_of, right_of[1:], right_of[height:], right_of[height + 1:])])
+    nbrs = map(tuple, map(filter, repeat(_IS_ID), around))
     adjacency: list[Sequence[int]] = [()] * size
     for h, vs in zip(h_ids, nbrs):
         adjacency[h] = vs
-    edges = tuple((h, v) for h in h_ids for v in adjacency[h])
-    return SegmentGraph(height, first_cell, vertical, h_ids, v_ids,
-                        adjacency, edges)
+    return SegmentGraph(height, first_cell, vertical, h_ids, v_ids, adjacency)
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:

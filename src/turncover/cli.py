@@ -59,16 +59,6 @@ def _params(args) -> RobotParams:
         raise CliError("usage error", str(exc)) from exc
 
 
-def _parse_start(value: str) -> tuple[int, int]:
-    try:
-        x, y = value.split(",")
-        return (int(x), int(y))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"start must look like x,y — got {value!r}"
-        ) from exc
-
-
 def cmd_tile(args) -> int:
     grid = _load_map(args)
     span = pipeline.build_component(grid, None)
@@ -112,6 +102,8 @@ def plan_record_text(result: pipeline.PlanResult, d: float) -> str:
 
 
 def cmd_plan(args) -> int:
+    if args.robots < 1:
+        raise CliError("usage error", "--robots must be at least 1")
     grid = _load_map(args)
     starts = args.start or None
     if starts is not None and len(starts) != args.robots:
@@ -178,7 +170,7 @@ def _int_pair(value: str) -> tuple[int, int]:
         return (int(a), int(b))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
-            f"expected W,H — got {value!r}"
+            f"expected two comma-separated integers — got {value!r}"
         ) from exc
 
 
@@ -217,16 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tree = sub.add_parser("tree", help="spanning tree construction")
     common(p_tree)
-    p_tree.add_argument("--method", choices=bench.TREE_METHODS, default="tmstc")
+    p_tree.add_argument("--method", choices=pipeline.TREE_METHODS,
+                        default="tmstc")
     p_tree.add_argument("--svg", default=None)
     p_tree.set_defaults(func=cmd_tree)
 
     p_plan = sub.add_parser("plan", help="multi-robot coverage plan")
     common(p_plan)
     p_plan.add_argument("--robots", type=int, default=1)
-    p_plan.add_argument("--start", action="append", type=_parse_start,
+    p_plan.add_argument("--start", action="append", type=_int_pair,
                         help="robot start cell x,y (repeatable)")
-    p_plan.add_argument("--method", choices=bench.TREE_METHODS, default="tmstc")
+    p_plan.add_argument("--method", choices=pipeline.TREE_METHODS,
+                        default="tmstc")
     p_plan.add_argument("--svg", default=None)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -239,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--obstacle-ratio", type=float, default=0.1)
     p_bench.add_argument("--robots", type=_int_list, default=[1, 2, 4],
                          help="robot counts, comma-separated")
-    p_bench.add_argument("--method", choices=bench.TREE_METHODS,
+    p_bench.add_argument("--method", choices=pipeline.TREE_METHODS,
                          default="tmstc")
     p_bench.add_argument("--records", default=None,
                          help="machine-readable record file")

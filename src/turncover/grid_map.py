@@ -82,7 +82,7 @@ class GridMap:
                 f"cell count {len(self.cells)} does not match "
                 f"{self.width}x{self.height}"
             )
-        if self.resolution_d <= 0:
+        if not self.resolution_d > 0:
             raise MapFormatError("resolution_d must be positive")
 
     def is_occupied(self, x: int, y: int) -> bool:
@@ -133,6 +133,25 @@ class SpanningGraph:
         """Node ids ``x * mega_height + y`` ascending, which is sorted
         node order."""
         return list(compress(range(len(self.free)), self.free))
+
+    @cached_property
+    def borders(self) -> tuple[list[int], bytes]:
+        """The edges in segment-id order: the id of each edge's first
+        node, and one byte per edge, 0 for the edge ``(i, i + 1)`` below
+        node ``i`` and 1 for the edge ``(i, i + H)`` right of it. Node
+        ids ascend, and a node's edge below comes before its right one,
+        which is sorted coordinate-edge order."""
+        height, free, ids = self.mega_height, self.free, self.ids
+        below = bytearray(free[1:] + b"\0")
+        below[height - 1::height] = bytes(len(below[height - 1::height]))
+        # two slots per node, below then right; an edge fills one
+        filled = bytearray(2 * len(ids))
+        filled[0::2] = compress(below, free)
+        filled[1::2] = compress(free[height:] + bytes(height), free)
+        slots = [0] * len(filled)
+        slots[0::2] = slots[1::2] = ids
+        return (list(compress(slots, filled)),
+                bytes(compress(b"\0\1" * len(ids), filled)))
 
 
 def parse_map(content: bytes | str, fmt: str, resolution_d: float = 0.5) -> GridMap:

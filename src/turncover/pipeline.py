@@ -42,6 +42,9 @@ def build_component(grid: GridMap, starts: list[Coord] | None) -> SpanningGraph:
     return grid_map.connected_component(span, seeds)
 
 
+TREE_METHODS = ("tmstc", "dfs", "kruskal")  # the methods build_tree knows
+
+
 def build_tree(span: SpanningGraph, method: str, seed: int = 0
                ) -> tuple[SpanningTree, BrickSet | None]:
     if method == "tmstc":
@@ -107,7 +110,7 @@ def turns_by_method(grid: GridMap, kruskal_seed: int = 0) -> dict[str, int]:
     """Turn counts of all three tree methods on one map."""
     span = build_component(grid, None)
     out = {}
-    for method in ("tmstc", "dfs", "kruskal"):
+    for method in TREE_METHODS:
         tree, _ = build_tree(span, method, kruskal_seed)
         out[method] = tree_builder.tree_turns(tree)
     return out

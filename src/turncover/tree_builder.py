@@ -144,15 +144,13 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
                 raise ValueError("brick edges close a cycle")
             join(a, b, ra, rb)
 
-    # every graph edge not yet in the tree, unsorted: the keys
-    # (cost, a, b) are unique, so the pops come in sorted order anyway
+    # every graph edge not yet in the tree; the keys (cost, a, b) are
+    # unique, so the pops do not depend on the fill order
+    steps, bits = (1, height), (DOWN, RIGHT)  # by orientation byte
     heap = []
-    for a in span.ids:
-        b = a + height
-        if b < n and free[b] and not masks[a] & RIGHT:
-            heap.append((cost(a, b), a, b))
-        b = a + 1
-        if b % height and free[b] and not masks[a] & DOWN:
+    for a, r in zip(*span.borders):
+        if not masks[a] & bits[r]:
+            b = a + steps[r]
             heap.append((cost(a, b), a, b))
     heapq.heapify(heap)
     while heap and components > 1:
@@ -210,17 +208,12 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
 
     The graph is unweighted, so the shuffle order is the only degree of
     freedom; identical seeds give identical trees. Edges are shuffled
-    from sorted order: ``(a, a + 1)`` then ``(a, a + H)`` for each id ``a``.
+    from the order of ``span.borders``, which is sorted order.
     """
     height = span.mega_height
-    free = span.free
-    n = len(free)
-    edges = []
-    for a in span.ids:
-        if (a + 1) % height and free[a + 1]:
-            edges.append((a, a + 1))
-        if a + height < n and free[a + height]:
-            edges.append((a, a + height))
+    n = len(span.free)
+    edges = [(a, a + height if right else a + 1)
+             for a, right in zip(*span.borders)]
     random.Random(seed).shuffle(edges)
     parent = list(range(n))
     masks = bytearray(n)

@@ -3,6 +3,8 @@ import random
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turncover import balance, bench, pipeline
 from turncover.balance import (
@@ -126,8 +128,9 @@ class TestArcCost:
             xs = {loop.nodes[i][0] for i in idx}
             ys = {loop.nodes[i][1] for i in idx}
             if len(xs) == 1 or len(ys) == 1:
-                a = model.sweep(start, 2)
-                b = model.sweep((start + 2) % len(loop), 2)
+                a = model.arc_cost(start, 3, start)
+                end = (start + 2) % len(loop)
+                b = model.arc_cost(end, 3, end)
                 assert a == pytest.approx(b)
                 break
         else:
@@ -542,3 +545,66 @@ class TestBottleneckOracle:
         plan = balance_partition(loop, starts, params)
         dp = bottleneck_partition(LoopCostModel(loop, params), idxs)
         assert plan.makespan == dp
+
+
+@st.composite
+def partition_cases(draw):
+    """A loop of a small random map, kinematics, and 2 to 5 distinct
+    anchors on it."""
+    mega = (draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    loop = random_loop(draw(st.integers(0, 999)), mega=mega,
+                       ratio=draw(st.sampled_from((0.0, 0.1, 0.2))))
+    params = RobotParams(accel=draw(st.floats(0.05, 3.0)),
+                         v_max=draw(st.floats(0.05, 3.0)),
+                         omega=draw(st.floats(0.1, 4.0)))
+    k = draw(st.integers(2, 5))
+    idxs = sorted(draw(st.sets(st.integers(0, len(loop) - 1),
+                               min_size=k, max_size=k)))
+    return loop, params, idxs
+
+
+def _plan(loop, params, idxs):
+    starts = [RobotStart(i, loop.nodes[a], a) for i, a in enumerate(idxs)]
+    return balance_partition(loop, starts, params)
+
+
+class TestPartitionProperties:
+    """The min-max partition against module-level ``arc_cost`` on random
+    small loops."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(partition_cases(), st.data())
+    def test_no_cut_set_beats_the_plan(self, case, data):
+        loop, params, idxs = case
+        size, k = len(loop), len(idxs)
+        makespan = _plan(loop, params, idxs).makespan
+        for _ in range(3):
+            # cut i is the last node of the arc holding anchor i
+            cuts = [a + data.draw(st.integers(0, (idxs[(i + 1) % k] - a - 1)
+                                              % size))
+                    for i, a in enumerate(idxs)]
+            worst = max(
+                arc_cost(loop, (cuts[i - 1] + 1) % size,
+                         (cuts[i] - cuts[i - 1] - 1) % size + 1, a, params)
+                for i, a in enumerate(idxs))
+            assert makespan <= worst
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(partition_cases())
+    def test_makespan_is_the_costliest_own_arc(self, case):
+        loop, params, idxs = case
+        plan = _plan(loop, params, idxs)
+        assert plan.makespan == max(
+            arc_cost(loop, r.arc_start, r.arc_length, r.anchored, params)
+            for r in plan.robots)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(partition_cases(), st.randoms(use_true_random=False))
+    def test_relabelling_robots_keeps_the_makespan(self, case, rand):
+        loop, params, idxs = case
+        shuffled = list(idxs)
+        rand.shuffle(shuffled)
+        starts = [RobotStart(i, loop.nodes[a], a)
+                  for i, a in enumerate(shuffled)]
+        assert balance_partition(loop, starts, params).makespan == _plan(
+            loop, params, idxs).makespan

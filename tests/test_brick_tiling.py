@@ -16,7 +16,7 @@ from turncover.brick_tiling import (
     tiling_to_text,
 )
 
-from conftest import make_span, random_connected_span
+from conftest import make_span, random_connected_span, span_edges
 from oracles import ReferenceSegmentGraph, brute_force_min_tiling, hopcroft_karp
 
 # 3x4 grid with four obstacles reconstructing the worked border-deletion
@@ -263,6 +263,40 @@ def artifact_spans():
             for args in (((40, 40), 0.15, 3), ((80, 80), 0.1, 7))]
 
 
+def small_spans():
+    """Strips, a single cell, and isolated cells with no edge at all."""
+    return [make_span(1, 30), make_span(30, 1), make_span(1, 1),
+            make_span(5, 5, [(x, y) for x in range(5) for y in range(5)
+                             if (x + y) % 2])]
+
+
+class TestBorders:
+    """``span.borders``, the one edge list the segment graph, the brick
+    merge and the Kruskal baseline read."""
+
+    @pytest.mark.parametrize("spans", [_oracle_spans, artifact_spans,
+                                       small_spans],
+                             ids=["oracle-spans", "artifact-maps", "small"])
+    def test_lists_span_edges_in_sorted_order(self, spans):
+        for span in spans():
+            first, right = span.borders
+            height = span.mega_height
+            assert len(first) == len(right) and set(right) <= {0, 1}
+            assert [(divmod(a, height),
+                     divmod(a + height if r else a + 1, height))
+                    for a, r in zip(first, right)] == span_edges(span)
+
+    def test_tiling_stages_build_no_edge_tuple(self):
+        span = artifact_spans()[0]
+        graph = build_segment_graph(span)
+        assert graph.first_cell is span.borders[0]
+        assert graph.vertical is span.borders[1]
+        keep = max_independent_set(graph, maximum_matching(graph))
+        tiling_from_independent_set(span, graph, keep)
+        assert "edges" not in graph.__dict__
+        assert len(graph.edges) == len(ReferenceSegmentGraph(span).edges)
+
+
 class TestSegmentView:
     """The flat arrays of the segment graph against the coordinate
     construction they replaced."""
@@ -365,11 +399,8 @@ class TestMatchingDifferential:
         for seed in range(2):
             self.check(random_obstacle_span(mega, ratio, seed))
 
-    @pytest.mark.parametrize("span", [
-        make_span(1, 30), make_span(30, 1), make_span(1, 1),
-        make_span(5, 5, [(x, y) for x in range(5) for y in range(5)
-                         if (x + y) % 2]),
-    ], ids=["strip-1xn", "strip-nx1", "single-cell", "isolated-cells"])
+    @pytest.mark.parametrize("span", small_spans(), ids=[
+        "strip-1xn", "strip-nx1", "single-cell", "isolated-cells"])
     def test_edgeless_spans(self, span):
         assert build_segment_graph(span).edges == ()
         self.check(span)

@@ -105,6 +105,14 @@ class TestPlan:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_nonpositive_robot_count(self, strip_map, tmp_path, capsys):
+        # rejected before the map is read, so a missing file does not matter
+        for path in (strip_map, str(tmp_path / "missing.grid")):
+            for robots in ("0", "-2"):
+                assert main(["plan", "--map", path, "--robots", robots]) == 1
+                assert capsys.readouterr().err == (
+                    "usage error: --robots must be at least 1\n")
+
     def test_too_many_robots(self, strip_map, capsys):
         code = main(["plan", "--map", strip_map, "--robots", "99"])
         assert code == 1

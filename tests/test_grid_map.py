@@ -46,6 +46,10 @@ class TestParseGrid01:
         with pytest.raises(MapFormatError):
             parse_map("", "grid01")
 
+    def test_nan_resolution(self):
+        with pytest.raises(MapFormatError, match="resolution_d"):
+            parse_map(b"00\n00\n", "grid01", float("nan"))
+
 
 class TestParseMovingai:
     def test_all_free(self):

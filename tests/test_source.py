@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 import turncover
@@ -35,3 +36,20 @@ def test_no_function_calls_itself():
     offenders = {path.name: _self_calls(ast.parse(path.read_text()))
                  for path in modules}
     assert {name: calls for name, calls in offenders.items() if calls} == {}
+
+
+def test_src_imports_stdlib_only():
+    # the runtime needs nothing beyond the standard library; relative
+    # imports stay inside the package
+    offenders = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] not in sys.stdlib_module_names]
+    assert offenders == []
