@@ -57,7 +57,6 @@ class RobotAssignment:
 
 @dataclass(frozen=True)
 class CoveragePlan:
-    loop: CoverageLoop
     robots: tuple[RobotAssignment, ...]
 
     @property
@@ -438,4 +437,4 @@ def balance_partition(
             )
         )
     assignments.sort(key=lambda r: r.robot_id)
-    return CoveragePlan(loop, tuple(assignments))
+    return CoveragePlan(tuple(assignments))

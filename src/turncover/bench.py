@@ -12,6 +12,8 @@ from .coverage_path import RobotParams
 from .grid_map import Coord, GridMap, coverage_nodes_of, flood_fill
 from .pipeline import TREE_METHODS
 
+MAX_ATTEMPTS = 1000  # maps generate_random_map draws before giving up
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -57,17 +59,20 @@ class RunReport:
 
 def generate_random_map(
     mega_dims: tuple[int, int], obstacle_ratio: float, seed: int,
-    resolution_d: float = 0.5, max_attempts: int = 1000,
+    resolution_d: float = 0.5,
 ) -> GridMap:
-    """Seeded random map with obstacles placed per mega cell; retries
-    until the free mega-cell region is connected."""
+    """Seeded random map with obstacles placed per mega cell; draws up
+    to ``MAX_ATTEMPTS`` maps until the free mega-cell region is
+    connected."""
     mw, mh = mega_dims
+    if min(mw, mh) < 1:
+        raise ValueError("mega dimensions must be at least 1")
     if not 0 <= obstacle_ratio < 1:
         raise ValueError("obstacle ratio must be in [0, 1)")
     rng = random.Random(seed)
     cells_all = [(x, y) for y in range(mh) for x in range(mw)]
     n_obstacles = int(mw * mh * obstacle_ratio)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         occupied = set(rng.sample(cells_all, n_obstacles))
         free = bytearray(mw * mh)  # flat layout, stride mh
         for x, y in cells_all:
@@ -84,7 +89,7 @@ def generate_random_map(
             return GridMap(2 * mw, 2 * mh, cells, resolution_d)
     raise ValueError(
         f"no connected map found for {mw}x{mh} at ratio {obstacle_ratio} "
-        f"after {max_attempts} attempts"
+        f"after {MAX_ATTEMPTS} attempts"
     )
 
 

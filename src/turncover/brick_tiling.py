@@ -14,9 +14,8 @@ Every stage works on flat arrays indexed by segment id. A segment is the
 border below or right of its first cell, so it is stored as that cell's
 id ``x * H + y`` and one orientation byte. The segments are the edges of
 the spanning graph, so those two arrays are ``SpanningGraph.borders``
-itself. :class:`Segment` tuples with coordinates and the sorted conflict
-pairs ``SegmentGraph.edges`` are derived on access, for tests and the
-public boundary.
+itself, and a segment is nothing but its id. The sorted conflict pairs
+``SegmentGraph.edges`` are derived on first access.
 
 The matching starts from a greedy one and then runs phases. A phase is
 one depth-first search along alternating paths from every free
@@ -34,58 +33,34 @@ horizontal segments: it sees exactly the set the Koenig step reaches.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import ne
-from typing import NamedTuple
 
 from .grid_map import Coord, SpanningGraph
 
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
 _RIGHT, _DOWN = 1, 2  # a cell's deleted border, in tiling_from_independent_set
 _SWAP = bytes.maketrans(b"\0\1", b"\1\0")  # orientation byte -> horizontal flag
 _IS_ID = (-1).__lt__  # a segment id, not the -1 of no segment
-
-
-class Segment(NamedTuple):
-    """Border between two adjacent free mega cells.
-
-    A vertical segment separates horizontally adjacent cells and vice
-    versa. ``cells`` is ordered (left-right or top-bottom).
-    """
-
-    id: int
-    orientation: str
-    cells: tuple[Coord, Coord]
-
-    def endpoints(self) -> tuple[Coord, Coord]:
-        """Lattice endpoints of the border line (mega-cell corner grid)."""
-        (x, y), _ = self.cells
-        if self.orientation == VERTICAL:
-            return ((x + 1, y), (x + 1, y + 1))
-        return ((x, y + 1), (x + 1, y + 1))
 
 
 @dataclass(frozen=True)
 class SegmentGraph:
     """The conflict graph on flat arrays by segment id.
 
-    Segment ``s`` is the border right of (``vertical[s] == 1``) or below
-    (``0``) the cell with id ``first_cell[s]``. Ids follow the cell ids,
-    the horizontal segment of a cell before its vertical one.
+    Each segment ``s`` is the border right of (``vertical[s] == 1``) or
+    below (``0``) the cell with id ``first_cell[s]``. Ids follow the cell
+    ids, the horizontal segment of a cell before its vertical one.
     ``adjacency[h]`` lists the vertical neighbours of a horizontal
     segment in ascending id order; the vertical segments and the
     horizontal ones without a neighbour share one empty tuple.
     """
 
-    height: int  # of the mega grid, to turn cell ids into coordinates
     first_cell: list[int]
     vertical: bytes
     horizontal_ids: list[int]
-    vertical_ids: list[int]
     adjacency: list[Sequence[int]]
 
     @cached_property
@@ -95,35 +70,9 @@ class SegmentGraph:
                      for v in self.adjacency[h])
 
     @property
-    def segments(self) -> Sequence[Segment]:
-        """The segments as coordinate tuples, built on access."""
-        return _Segments(self)
-
-
-class _Segments(Sequence):
-    """Read-only view of a graph's segments; ``len`` builds no tuple."""
-
-    def __init__(self, graph: SegmentGraph):
-        self._graph = graph
-
-    def __len__(self) -> int:
-        return len(self._graph.first_cell)
-
-    def __getitem__(self, index):
-        ids = range(len(self._graph.first_cell))[index]
-        if isinstance(ids, range):
-            return tuple(map(self._segment, ids))
-        return self._segment(ids)
-
-    def __iter__(self) -> Iterator[Segment]:
-        return map(self._segment, range(len(self._graph.first_cell)))
-
-    def _segment(self, s: int) -> Segment:
-        graph = self._graph
-        x, y = divmod(graph.first_cell[s], graph.height)
-        if graph.vertical[s]:
-            return Segment(s, VERTICAL, ((x, y), (x + 1, y)))
-        return Segment(s, HORIZONTAL, ((x, y), (x, y + 1)))
+    def segments(self) -> range:
+        """The segment ids."""
+        return range(len(self.first_cell))
 
 
 @dataclass(frozen=True)
@@ -145,17 +94,16 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
     vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
     ``(x, y)`` and ``(x, y + 1)``: cells ``i - H``, ``i - H + 1``, ``i``
-    and ``i + 1`` from the cell's id ``i``. Segment ids follow the cell
-    ids, so those come in ascending order.
+    and ``i + 1`` from the cell's id ``i``. The segment ids follow the
+    cell ids, so those come in ascending order.
     """
     height = span.mega_height
     first_cell, vertical = span.borders
     horizontal = vertical.translate(_SWAP)
     size = len(first_cell)
     h_ids = list(compress(range(size), horizontal))
-    v_ids = list(compress(range(size), vertical))
     right_of = [-1] * (len(span.free) + height + 1)  # cell id + H -> segment
-    for v in v_ids:
+    for v in compress(range(size), vertical):
         right_of[first_cell[v] + height] = v
     # per horizontal segment below cell i: the vertical segments right of
     # i - H, i - H + 1, i and i + 1
@@ -166,7 +114,7 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     adjacency: list[Sequence[int]] = [()] * size
     for h, vs in zip(h_ids, nbrs):
         adjacency[h] = vs
-    return SegmentGraph(height, first_cell, vertical, h_ids, v_ids, adjacency)
+    return SegmentGraph(first_cell, vertical, h_ids, adjacency)
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:

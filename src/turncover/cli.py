@@ -134,6 +134,8 @@ def cmd_bench(args) -> int:
         raise CliError("usage error", "--maps must be nonnegative")
     if min(args.robots) < 1:
         raise CliError("usage error", "--robots values must be at least 1")
+    if min(args.mega) < 1:
+        raise CliError("usage error", "--mega dimensions must be at least 1")
     if not 0 <= args.obstacle_ratio < 1:
         raise CliError("usage error", "--obstacle-ratio must be in [0, 1)")
     params = _params(args)

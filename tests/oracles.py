@@ -3,10 +3,10 @@
 Slow and written for clarity on coordinate tuples: exhaustive searches
 for small instances, a bottleneck DP over cut positions for the min-max
 partition, the feasibility sweep priced one ``LoopCostModel.arc_cost``
-call at a time, the segment graph built from coordinates and endpoint
-buckets, Hopcroft-Karp matching, the per-pair twist finder and loop turn
-count, the turn-cost delta of one edge on neighbour sets, and the DFS and
-Kruskal baseline trees as coordinate edge lists.
+call at a time, the segment graph built from coordinate ``Segment``
+tuples and endpoint buckets, Hopcroft-Karp matching, the per-pair twist
+finder and loop turn count, the turn-cost delta of one edge on neighbour
+sets, and the DFS and Kruskal baseline trees as coordinate edge lists.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ import random
 from collections.abc import Callable
 from itertools import groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from turncover.balance import LoopCostModel, RobotStart, arc_cost
-from turncover.brick_tiling import HORIZONTAL, VERTICAL, Segment, SegmentGraph
+from turncover.brick_tiling import SegmentGraph
 from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
 from turncover.grid_map import Coord, DisconnectedGraphError, SpanningGraph
 from turncover.tree_builder import turn_count
@@ -206,6 +207,29 @@ def brute_force_min_tiling(span: SpanningGraph) -> int:
         return best
 
     return solve(frozenset(span.nodes))
+
+
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+
+
+class Segment(NamedTuple):
+    """Border between two adjacent free mega cells.
+
+    A vertical segment separates horizontally adjacent cells and vice
+    versa. ``cells`` is ordered (left-right or top-bottom).
+    """
+
+    id: int
+    orientation: str
+    cells: tuple[Coord, Coord]
+
+    def endpoints(self) -> tuple[Coord, Coord]:
+        """Lattice endpoints of the border line (mega-cell corner grid)."""
+        (x, y), _ = self.cells
+        if self.orientation == VERTICAL:
+            return ((x + 1, y), (x + 1, y + 1))
+        return ((x, y + 1), (x + 1, y + 1))
 
 
 class ReferenceSegmentGraph:

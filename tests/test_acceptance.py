@@ -58,7 +58,7 @@ def test_01_worked_example_tiling():
         bricks = tiling_from_independent_set(span, seg, keep)
         assert len(bricks) == 3
         # the suboptimal all-vertical deletable set of size 4 gives 4 bricks
-        vertical = frozenset(seg.vertical_ids)
+        vertical = frozenset(s for s in seg.segments if seg.vertical[s])
         assert len(vertical) == 4
         assert len(tiling_from_independent_set(span, seg, vertical)) == 4
         # an unobstructed 3x4 block tiles into 3 full-row bricks

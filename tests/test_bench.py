@@ -32,7 +32,12 @@ class TestGenerateRandomMap:
 
     def test_unattainable_connectivity(self):
         with pytest.raises(ValueError, match="no connected map"):
-            bench.generate_random_map((10, 10), 0.95, 0, max_attempts=3)
+            bench.generate_random_map((10, 10), 0.95, 0)
+
+    @pytest.mark.parametrize("dims", [(0, 5), (5, 0), (-1, 5)])
+    def test_dimension_below_one(self, dims):
+        with pytest.raises(ValueError, match="at least 1"):
+            bench.generate_random_map(dims, 0.1, 0)
 
 
 class TestCompareTrees:

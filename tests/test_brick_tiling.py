@@ -4,10 +4,8 @@ import sys
 
 import pytest
 
-from turncover import bench, brick_tiling, pipeline
+from turncover import bench, pipeline
 from turncover.brick_tiling import (
-    HORIZONTAL,
-    VERTICAL,
     build_segment_graph,
     max_independent_set,
     maximum_matching,
@@ -17,7 +15,12 @@ from turncover.brick_tiling import (
 )
 
 from conftest import make_span, random_connected_span, span_edges
-from oracles import ReferenceSegmentGraph, brute_force_min_tiling, hopcroft_karp
+from oracles import (
+    VERTICAL,
+    ReferenceSegmentGraph,
+    brute_force_min_tiling,
+    hopcroft_karp,
+)
 
 # 3x4 grid with four obstacles reconstructing the worked border-deletion
 # example: 8 free cells, 4 vertical borders, best deletable set of 5.
@@ -28,24 +31,29 @@ def fig_span():
     return make_span(4, 3, FIG_OBSTACLES)
 
 
+def vertical_ids(graph):
+    """The vertical segment ids, read off the orientation bytes."""
+    return [s for s in graph.segments if graph.vertical[s]]
+
+
 class TestSegmentGraph:
     def test_full_3x4_grid_counts(self):
         graph = build_segment_graph(make_span(4, 3))
         assert len(graph.segments) == 17
-        assert len(graph.vertical_ids) == 9
+        assert len(vertical_ids(graph)) == 9
         assert len(graph.horizontal_ids) == 8
 
     def test_strip_all_parallel(self):
         graph = build_segment_graph(make_span(5, 1))
         assert len(graph.segments) == 4
-        assert all(s.orientation == VERTICAL for s in graph.segments)
+        assert all(graph.vertical)
         assert graph.edges == ()
 
     def test_2x2_complete_bipartite(self):
         graph = build_segment_graph(make_span(2, 2))
         assert len(graph.segments) == 4
         assert len(graph.horizontal_ids) == 2
-        assert len(graph.vertical_ids) == 2
+        assert len(vertical_ids(graph)) == 2
         assert len(graph.edges) == 4  # all meet at the center point
 
     def test_bipartite_by_orientation(self, rng):
@@ -53,18 +61,21 @@ class TestSegmentGraph:
             span = random_connected_span(rng)
             graph = build_segment_graph(span)
             for h, v in graph.edges:
-                assert graph.segments[h].orientation == HORIZONTAL
-                assert graph.segments[v].orientation == VERTICAL
+                assert not graph.vertical[h]
+                assert graph.vertical[v]
 
     def test_segment_orientation_perpendicular_to_pair_axis(self):
-        graph = build_segment_graph(make_span(2, 2))
-        for seg in graph.segments:
-            (ax, ay), (bx, by) = seg.cells
-            if seg.orientation == VERTICAL:
-                assert ay == by and bx == ax + 1
-            else:
-                assert ax == bx and by == ay + 1
-
+        span = make_span(2, 2)
+        graph = build_segment_graph(span)
+        pairs = []
+        for s in graph.segments:
+            x, y = divmod(graph.first_cell[s], span.mega_height)
+            pairs.append(((x, y), (x + 1, y) if graph.vertical[s]
+                          else (x, y + 1)))
+        # the border below (0, 0), then the ones right of (0, 0) and
+        # (0, 1), then the one below (1, 0)
+        assert pairs == [((0, 0), (0, 1)), ((0, 0), (1, 0)),
+                         ((0, 1), (1, 1)), ((1, 0), (1, 1))]
 
     def test_edges_match_endpoint_buckets(self, rng):
         spans = [random_connected_span(rng, max_dim=8, max_cells=40)
@@ -76,8 +87,7 @@ class TestSegmentGraph:
         for span in spans:
             graph = build_segment_graph(span)
             assert graph.edges == ReferenceSegmentGraph(span).edges
-            segment_order = [s.cells[0] for s in graph.segments]
-            assert segment_order == sorted(segment_order)
+            assert graph.first_cell == sorted(graph.first_cell)
 
 
 class TestMaximumMatching:
@@ -141,7 +151,7 @@ def _reference_independent_set(graph, matching):
                     nxt.append(back)
         frontier = nxt
     h_ids = set(graph.horizontal_ids)
-    v_ids = set(graph.vertical_ids)
+    v_ids = set(vertical_ids(graph))
     cover = (h_ids - reachable) | (v_ids & reachable)
     return frozenset((h_ids | v_ids) - cover)
 
@@ -158,8 +168,9 @@ def _reference_tiling(span, graph, keep):
         return c
 
     for seg_id in keep:
-        a, b = graph.segments[seg_id].cells
-        parent[find(a)] = find(b)
+        x, y = divmod(graph.first_cell[seg_id], span.mega_height)
+        b = (x + 1, y) if graph.vertical[seg_id] else (x, y + 1)
+        parent[find((x, y))] = find(b)
     groups = {}
     for cell in sorted(span.nodes):
         groups.setdefault(find(cell), []).append(cell)
@@ -211,7 +222,7 @@ class TestFlatStagesMatchOracles:
         # any independent set tiles: here all vertical or all horizontal
         for span in _oracle_spans():
             graph = build_segment_graph(span)
-            for keep in (frozenset(graph.vertical_ids),
+            for keep in (frozenset(vertical_ids(graph)),
                          frozenset(graph.horizontal_ids)):
                 assert tiling_from_independent_set(span, graph, keep).bricks \
                     == _reference_tiling(span, graph, keep)
@@ -307,36 +318,16 @@ class TestSegmentView:
         for span in spans():
             graph = build_segment_graph(span)
             ref = ReferenceSegmentGraph(span)
-            view = graph.segments
-            assert len(view) == len(ref.segments)
-            assert tuple(view) == ref.segments
-            assert [view[i] for i in range(len(view))] == list(ref.segments)
-            assert [s.endpoints() for s in view] == [
-                s.endpoints() for s in ref.segments]
-            if ref.segments:
-                assert view[-1] == ref.segments[-1]
-                assert view[1::2] == ref.segments[1::2]
+            height = span.mega_height
+            cells = [s.cells[0] for s in ref.segments]
+            assert len(graph.segments) == len(ref.segments)
+            assert graph.first_cell == [x * height + y for x, y in cells]
+            assert graph.vertical == bytes(s.orientation == VERTICAL
+                                           for s in ref.segments)
             assert graph.horizontal_ids == ref.horizontal_ids
-            assert graph.vertical_ids == ref.vertical_ids
+            assert vertical_ids(graph) == ref.vertical_ids
             assert graph.adjacency == ref.adjacency
             assert graph.edges == ref.edges
-
-    def test_len_builds_no_segment(self, monkeypatch):
-        graph = build_segment_graph(make_span(4, 3))
-
-        def refuse(*args):
-            raise AssertionError("a Segment was built")
-
-        monkeypatch.setattr(brick_tiling, "Segment", refuse)
-        assert len(graph.segments) == 17
-        with pytest.raises(AssertionError, match="was built"):
-            graph.segments[0]
-
-    def test_index_out_of_range(self):
-        view = build_segment_graph(make_span(2, 2)).segments
-        with pytest.raises(IndexError):
-            view[4]
-        assert list(view) == list(view[:]) and len(view[4:]) == 0
 
 
 def serpentine_span(corridors, width, length):
@@ -484,7 +475,7 @@ class TestTiling:
     def test_fig_layout_all_vertical_gives_four(self):
         span = fig_span()
         graph = build_segment_graph(span)
-        all_vertical = frozenset(graph.vertical_ids)
+        all_vertical = frozenset(vertical_ids(graph))
         assert len(all_vertical) == 4
         assert len(tiling_from_independent_set(span, graph, all_vertical)) == 4
 

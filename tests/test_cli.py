@@ -211,6 +211,18 @@ class TestBench:
         with pytest.raises(SystemExit):
             main(["bench", "--mega", "oops"])
 
+    def test_mega_dimension_below_one(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was generated")
+
+        monkeypatch.setattr(bench, "generate_random_map", refuse)
+        for mega in ("0,5", "5,0", "-1,5"):
+            assert main(["bench", "--maps", "1", f"--mega={mega}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "usage error: --mega dimensions must be at least 1\n")
+            assert captured.out == ""
+
 
 @pytest.mark.parametrize("d", [0.5, 0.3, 1.7, 0.05])
 def test_record_text_formats_each_waypoint_as_before(d):
