@@ -11,6 +11,13 @@ makespan it achieved; an infeasible one raises the lower bound to the
 least arc cost it saw above its budget. The search ends when the bounds
 meet, so the result is the exact optimum, with no tolerance.
 
+Feasibility is monotone in the budget: a first cut that fails at one
+budget fails at every lower one. So a feasible probe lists every first
+cut it could complete, its survivors, and the next probe tries only
+those, as in the separator-index bounding of Pinar and Aykanat (JPDC
+2004) on Nicol's probe search (JPDC 1994). Only the first probe scans the
+whole first gap; a failed probe costs one short chain per survivor.
+
 The sweep prices arcs without a method call per arc: each visit to a
 gap fixes the arc's start and anchor, so the head terms of its leg sums
 are taken once per visit, and each probed end adds one shared tail (see
@@ -20,7 +27,7 @@ are taken once per visit, and each probed end adds one shared tail (see
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import ne, sub
@@ -284,35 +291,50 @@ class LoopCostModel:
 
 
 def _greedy_cuts(
-    model: LoopCostModel, anchors: list[int], budget: float
-) -> tuple[list[int] | None, float]:
-    """Cut positions keeping every arc within ``budget``, or None; also
-    the least arc cost above ``budget`` that the sweep evaluated.
+    model: LoopCostModel, anchors: list[int], budget: float,
+    firsts: Iterable[int],
+) -> tuple[list[int] | None, float, list[int]]:
+    """Cut positions keeping every arc within ``budget``, or None; the
+    least arc cost above ``budget`` that the sweep evaluated; and the
+    survivors, every first cut of ``firsts`` that cut positions within
+    ``budget`` complete.
 
     ``anchors`` are ascending virtual indices within one period; cut
-    ``i`` is the last node of the arc holding ``anchors[i]``. Every cut
-    of the first gap is tried, so that gap should be the shortest. For
-    each, the later arcs are extended as far as the budget allows (arc
-    cost never decreases as an arc grows) and the last arc must close
-    the loop within budget. Those greedy cuts never decrease as the
-    first cut moves right, so each gap keeps a pointer that gallops
+    ``i`` is the last node of the arc holding ``anchors[i]``. ``firsts``
+    are ascending cuts of the first gap, which should be the shortest.
+    For each, the later arcs are extended as far as the budget allows
+    (arc cost never decreases as an arc grows) and the last arc must
+    close the loop within budget. Those greedy cuts never decrease as
+    the first cut moves right, so each gap keeps a pointer that gallops
     forward from where it stopped. One visit to a gap fixes the arc's
     start and anchor, so the model's evaluator is aimed once per visit
-    and then prices each probed end.
+    and then prices each probed end. The returned cuts are those of the
+    first survivor.
+
+    A gap whose greedy cut is the one it had when last reached repeats
+    that chain's later arcs. If that chain broke off or its closing arc
+    went over budget, this one fails too, its closing arc being longer.
+    If it closed within budget, the later arcs fit again and only the
+    closing arc, now longer, is priced again.
 
     Every decision is a comparison of an evaluated cost with the budget,
     so any budget below the returned cost repeats the sweep exactly:
-    when the sweep fails, no partition's makespan is below that cost.
+    when the sweep fails, no partition with a first cut of ``firsts`` has
+    a makespan below that cost.
     """
     k = len(anchors)
     size = model.size
     aim, cost = model.evaluator()
     over = math.inf
+    found = None
+    survivors = []
     reach = [a - 1 for a in anchors]  # reach[i] >= anchors[i]: a cut that fits
     limit = anchors[1:] + [anchors[0] + size]
-    for c0 in range(anchors[0], limit[0]):
-        prev = c0
-        for i in range(1, k):
+    # the chain through reach[i] closed within budget for every i >= fits
+    fits = k
+    for c0 in firsts:
+        prev, i = c0, 1
+        while i < k:
             start, anchor = prev + 1, anchors[i]
             aim(start, anchor)
             lo, hi = reach[i], limit[i] - 1
@@ -347,17 +369,28 @@ def _greedy_cuts(
                     lo = mid
             if lo == reach[i]:
                 # same cut as when this gap was last reached: the later
-                # arcs repeat, so they fail again or the closing arc,
-                # now longer, does
+                # arcs repeat, so go straight to the closing arc if they
+                # fit then, or fail
+                if i >= fits:
+                    prev, i = reach[-1], k
                 break
             reach[i] = prev = lo
+            i += 1
+        if i < k:  # the chain broke off at gap i
+            if i > fits:
+                fits = i
+            continue
+        t = model.arc_cost(prev + 1, c0 + size - prev, anchors[0] + size)
+        if t <= budget:
+            if found is None:
+                found = [c0] + reach[1:]
+            survivors.append(c0)
+            fits = 1
         else:
-            t = model.arc_cost(prev + 1, c0 + size - prev, anchors[0] + size)
-            if t <= budget:
-                return [c0] + reach[1:], over
             if t < over:
                 over = t
-    return None, over
+            fits = k
+    return found, over, survivors
 
 
 def _cut_makespan(model: LoopCostModel, anchors: list[int],
@@ -400,18 +433,26 @@ def balance_partition(
         cuts = [a - 1 for a in anchors[1:]] + [anchors[0] + size - 1]
         ub = _cut_makespan(model, anchors, cuts)
         lb, step = 0.0, 0.0
-        # A failed probe sweeps the whole first gap, a feasible one mostly
-        # stops early, so probe below ub by twice the last gain (just below
-        # ub after a failure) but never below the midpoint of the bounds.
+        firsts: Iterable[int] = range(anchors[0], anchors[1])
+        # Probe below ub by twice the last gain (just below ub after a
+        # failure) but never below the midpoint of the bounds. A first cut
+        # that fails at one budget fails at every lower one, so each probe
+        # tries only the survivors of the last feasible one.
         while lb < ub:
             budget = min(max(ub - step, (lb + ub) / 2), math.nextafter(ub, 0))
-            found, over = _greedy_cuts(model, anchors, budget)
+            found, over, survivors = _greedy_cuts(model, anchors, budget,
+                                                  firsts)
             if found is None:
+                # The first cuts left out failed at a budget of at least ub,
+                # and over <= ub: at budget ub the sweep would succeed with
+                # the first cut of the last feasible probe, so it cannot
+                # repeat this one.
                 lb, step = over, 0.0
             else:
                 last = ub
                 cuts, ub = found, _cut_makespan(model, anchors, found)
                 step = 2 * (last - ub)
+                firsts = survivors
         arcs = [
             ((cuts[i - 1] + 1) % size, (cuts[i] - cuts[i - 1] - 1) % size + 1)
             for i in range(k)

@@ -248,7 +248,7 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
                     or cells[bottom + x] or cells[bottom + x + 1]):
                 nodes.append((mx, my))
     if not nodes:
-        raise MapFormatError("map has no fully free mega cell")
+        raise ValueError("map has no fully free mega cell")
     return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
                          frozenset(nodes))
 

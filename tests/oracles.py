@@ -2,18 +2,19 @@
 
 Slow and written for clarity on coordinate tuples: exhaustive searches
 for small instances, a bottleneck DP over cut positions for the min-max
-partition, the feasibility sweep priced one ``LoopCostModel.arc_cost``
-call at a time, the segment graph built from coordinate ``Segment``
-tuples and endpoint buckets, Hopcroft-Karp matching, the per-pair twist
-finder and loop turn count, the turn-cost delta of one edge on neighbour
-sets, and the DFS and Kruskal baseline trees as coordinate edge lists.
+partition and for each first cut, the feasibility sweep priced one
+``LoopCostModel.arc_cost`` call at a time, the segment graph built from
+coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
+matching, the per-pair twist finder and loop turn count, the turn-cost
+delta of one edge on neighbour sets, and the DFS and Kruskal baseline
+trees as coordinate edge lists.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from itertools import groupby
 from operator import itemgetter
 from typing import NamedTuple
@@ -85,8 +86,9 @@ def shortest_gap_first(anchors: list[int], size: int) -> list[int]:
 
 def greedy_cuts(
     model: LoopCostModel, anchors: list[int], budget: float,
+    firsts: Iterable[int],
     cost: Callable[[int, int, int], float] | None = None,
-) -> tuple[list[int] | None, float]:
+) -> tuple[list[int] | None, float, list[int]]:
     """``balance._greedy_cuts`` with every arc priced by one call of
     ``cost(arc_start, arc_length, anchor)``, ``model.arc_cost`` unless
     given: same probes, same decisions."""
@@ -94,10 +96,13 @@ def greedy_cuts(
     size = model.size
     cost = cost or model.arc_cost
     over = math.inf
+    found = None
+    survivors = []
     reach = [a - 1 for a in anchors]
     limit = anchors[1:] + [anchors[0] + size]
-    for c0 in range(anchors[0], limit[0]):
-        prev = c0
+    fits = k  # the chain through reach[i] closed within budget for i >= fits
+    for c0 in firsts:
+        prev, broke = c0, None
         for i in range(1, k):
             start, anchor = prev + 1, anchors[i]
             lo, hi = reach[i], limit[i] - 1
@@ -105,6 +110,7 @@ def greedy_cuts(
                 t = cost(start, anchor - start + 1, anchor)
                 if t > budget:
                     over = min(over, t)
+                    broke = i
                     break
                 lo = anchor
             step = 1
@@ -126,21 +132,43 @@ def greedy_cuts(
                 else:
                     lo = mid
             if lo == reach[i]:
+                if i < fits:
+                    broke = i
+                else:
+                    prev = reach[-1]
                 break
             reach[i] = prev = lo
+        if broke is not None:
+            fits = max(fits, broke)
+            continue
+        t = cost(prev + 1, c0 + size - prev, anchors[0] + size)
+        if t <= budget:
+            found = found or [c0] + reach[1:]
+            survivors.append(c0)
+            fits = 1
         else:
-            t = cost(prev + 1, c0 + size - prev, anchors[0] + size)
-            if t <= budget:
-                return [c0] + reach[1:], over
             over = min(over, t)
-    return None, over
+            fits = k
+    return found, over, survivors
 
 
 def bottleneck_partition(model: LoopCostModel, anchors: list[int]) -> float:
-    """Least makespan over every cut placement, by dynamic programming.
+    """Least makespan over every cut placement; ``anchors`` are distinct
+    loop indices."""
+    if len(anchors) == 1:
+        return model.arc_cost(anchors[0], model.size, anchors[0])
+    return min(first_cut_makespans(model, anchors).values())
 
-    ``anchors`` are distinct loop indices. Cut ``i`` ends the arc that
-    holds the ``i``-th anchor. For each position ``c0`` of the first cut,
+
+def first_cut_makespans(model: LoopCostModel,
+                        anchors: list[int]) -> dict[int, float]:
+    """Least makespan for each position of the first cut, by dynamic
+    programming.
+
+    ``anchors`` are at least two distinct loop indices, taken in the
+    order of :func:`shortest_gap_first`; the keys are the cuts of its
+    first gap, as virtual indices. Cut ``i`` ends the arc that holds the
+    ``i``-th anchor. For each position ``c0`` of the first cut,
     ``best[c]`` is the least makespan of arcs 1..i with cut ``i`` at
     ``c``: ``min over c' of max(best_prev[c'], cost(c' + 1 .. c))``; the
     closing arc runs from cut ``k - 1`` back around to ``c0``. No budget
@@ -149,8 +177,6 @@ def bottleneck_partition(model: LoopCostModel, anchors: list[int]) -> float:
     shortest gap only to keep the table small.
     """
     size, k = model.size, len(anchors)
-    if k == 1:
-        return model.arc_cost(anchors[0], size, anchors[0])
     anchors = shortest_gap_first(sorted(anchors), size)
     bounds = anchors + [anchors[0] + size]
     gaps = [range(bounds[i], bounds[i + 1]) for i in range(k)]
@@ -160,15 +186,15 @@ def bottleneck_partition(model: LoopCostModel, anchors: list[int]) -> float:
 
     middle = {(i, p, c): cost(p, c, i)
               for i in range(2, k) for p in gaps[i - 1] for c in gaps[i]}
-    optimum = math.inf
+    makespans = {}
     for c0 in gaps[0]:
         best = {c: cost(c0, c, 1) for c in gaps[1]}
         for i in range(2, k):
             best = {c: min(max(best[p], middle[i, p, c]) for p in gaps[i - 1])
                     for c in gaps[i]}
-        closing = min(max(best[c], cost(c, c0 + size, k)) for c in gaps[k - 1])
-        optimum = min(optimum, closing)
-    return optimum
+        makespans[c0] = min(max(best[c], cost(c, c0 + size, k))
+                            for c in gaps[k - 1])
+    return makespans
 
 
 def brute_force_min_tiling(span: SpanningGraph) -> int:

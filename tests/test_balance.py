@@ -20,8 +20,8 @@ from turncover.tree_builder import merge_bricks
 
 import oracles
 from conftest import make_span, random_connected_span
-from oracles import (bottleneck_partition, brute_force_partition, greedy_cuts,
-                     shortest_gap_first)
+from oracles import (bottleneck_partition, brute_force_partition,
+                     first_cut_makespans, greedy_cuts, shortest_gap_first)
 
 PARAMS = RobotParams()
 
@@ -491,13 +491,16 @@ class TestGreedyCuts:
                     return arc_cost(loop, start % size, length, anchor % size,
                                     params)
             for anchors in orders:
+                firsts = range(anchors[0], anchors[1])
                 for budget in budgets:
-                    found = balance._greedy_cuts(model, anchors, budget)
-                    assert found == greedy_cuts(model, anchors, budget), (
-                        seed, budget)
+                    found = balance._greedy_cuts(model, anchors, budget,
+                                                 firsts)
+                    assert found == greedy_cuts(model, anchors, budget,
+                                                firsts), (seed, budget)
                     if timed_cost:
                         assert found == greedy_cuts(model, anchors, budget,
-                                                    timed_cost), (seed, budget)
+                                                    firsts, timed_cost), (
+                            seed, budget)
                     probes += 1
         assert probes == 36 * 2 * 4 and timed >= 9
 
@@ -510,9 +513,9 @@ class TestGreedyCuts:
         probes = []
         sweep = balance._greedy_cuts
 
-        def recorded(model, anchors, budget):
-            out = sweep(model, anchors, budget)
-            probes.append((model, list(anchors), budget, out))
+        def recorded(model, anchors, budget, firsts):
+            out = sweep(model, anchors, budget, firsts)
+            probes.append((model, list(anchors), budget, list(firsts), out))
             return out
 
         monkeypatch.setattr(balance, "_greedy_cuts", recorded)
@@ -520,8 +523,78 @@ class TestGreedyCuts:
             pipeline.plan(grid, k=k)
         assert any(out[0] is None for *_, out in probes)
         assert any(out[0] is not None for *_, out in probes)
-        for model, anchors, budget, out in probes:
-            assert out == greedy_cuts(model, anchors, budget)
+        for model, anchors, budget, firsts, out in probes:
+            assert out == greedy_cuts(model, anchors, budget, firsts)
+
+
+class TestSurvivors:
+    """The first cuts a probe keeps, against the least makespan of each
+    first cut from ``oracles.first_cut_makespans``."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_survivors_are_the_first_cuts_within_budget(self, seed):
+        rng = random.Random(seed)
+        loop = random_loop(seed, mega=(rng.randint(3, 8), rng.randint(3, 8)),
+                           ratio=rng.choice((0.0, 0.1, 0.2)))
+        size = len(loop)
+        params = random_params(rng)
+        model = LoopCostModel(loop, params)
+        idxs = random_anchors(rng, size, rng.randint(2, min(6, size)),
+                              clustered=seed % 2 == 1)
+        best = first_cut_makespans(model, idxs)
+        opt = min(best.values())
+        anchors = shortest_gap_first(idxs, size)
+        every = range(anchors[0], anchors[1])
+        budgets = [opt, math.nextafter(opt, 0), rng.uniform(opt, 1.2 * opt),
+                   rng.uniform(1.2 * opt, 3 * opt)]
+        for budget in budgets:
+            found, over, survivors = balance._greedy_cuts(model, anchors,
+                                                          budget, every)
+            assert survivors == [c for c in every if best[c] <= budget]
+            if survivors:
+                assert found[0] == survivors[0]
+                assert balance._cut_makespan(model, anchors, found) <= budget
+            else:
+                assert found is None and budget < over <= opt
+            # a lower probe over the survivors keeps what a full scan keeps
+            for lower in budgets:
+                if lower < budget:
+                    out = balance._greedy_cuts(model, anchors, lower,
+                                               survivors)
+                    full = balance._greedy_cuts(model, anchors, lower, every)
+                    assert (out[0], out[2]) == (full[0], full[2])
+                    if out[0] is None:
+                        assert lower < out[1] <= opt
+
+
+def test_partition_work_stays_bounded(monkeypatch):
+    """Evaluator calls of whole partitions on the 80x80 artifact map.
+
+    A probe that rescans the whole first gap instead of the surviving
+    first cuts makes about 170,000 calls at k = 4 and 56,000 at k = 16;
+    testing only the survivors makes about 39,000 and 25,000.
+    """
+    calls = 0
+    evaluator = LoopCostModel.evaluator
+
+    def counted(model):
+        aim, cost = evaluator(model)
+
+        def priced(*args):
+            nonlocal calls
+            calls += 1
+            return cost(*args)
+        return aim, priced
+
+    monkeypatch.setattr(LoopCostModel, "evaluator", counted)
+    loop = random_loop(7, mega=(80, 80), ratio=0.1)
+    size = len(loop)
+    for k, bound in ((4, 60_000), (16, 40_000)):
+        calls = 0
+        starts = [RobotStart(i, loop.nodes[i * size // k], i * size // k)
+                  for i in range(k)]
+        balance_partition(loop, starts, PARAMS)
+        assert 0 < calls <= bound, k
 
 
 CASES = [

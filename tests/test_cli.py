@@ -40,7 +40,8 @@ class TestTile:
         path = tmp_path / "blocked.map"
         path.write_text(BLOCKED)
         assert main(["tile", "--map", str(path)]) == 1
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "planning error: map has no fully free mega cell\n")
         path.write_bytes(b"0\xe90\n00\n")  # non-ASCII glyph
         for command in ("tile", "tree", "plan"):
             assert main([command, "--map", str(path)]) == 1
@@ -208,8 +209,18 @@ class TestBench:
             assert "Traceback" not in err
 
     def test_bad_mega_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--mega", "oops"])
+        for argv in (["bench", "--mega", "oops"],
+                     ["bench", "--maps", "1", "--mega", "-1,5"]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage error: "), captured.err
+            assert captured.err.count("\n") == 1 and captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: turncover bench")
 
     def test_mega_dimension_below_one(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

@@ -77,8 +77,8 @@ def test_sweep_wrapper_sees_every_probe(tracing, monkeypatch):
     probes = []
     sweep = balance._greedy_cuts
 
-    def recorded(model, anchors, budget):
-        out = sweep(model, anchors, budget)
+    def recorded(model, anchors, budget, firsts):
+        out = sweep(model, anchors, budget, firsts)
         probes.append((model, list(anchors), budget, out))
         return out
 
@@ -88,7 +88,7 @@ def test_sweep_wrapper_sees_every_probe(tracing, monkeypatch):
     # each one lies inside the bracket the earlier ones left open, and
     # together they close it at the plan's makespan
     lb, ub = 0.0, math.inf
-    for model, anchors, budget, (found, over) in probes:
+    for model, anchors, budget, (found, over, _) in probes:
         assert lb <= budget < ub
         if found is None:
             assert over > budget
@@ -96,7 +96,7 @@ def test_sweep_wrapper_sees_every_probe(tracing, monkeypatch):
         else:
             ub = balance._cut_makespan(model, anchors, found)
     assert lb >= ub == result.plan.makespan
-    assert any(found is None for *_, (found, _) in probes)
+    assert any(found is None for *_, (found, _, _) in probes)
 
     # the benchmark's own tracer counts the same probes
     monkeypatch.setattr(balance, "_greedy_cuts", sweep)
