@@ -20,14 +20,13 @@ itself, and a segment is nothing but its id. The sorted conflict pairs
 The matching starts from a greedy one and then runs phases. A phase is
 one depth-first search along alternating paths from every free
 horizontal segment, and the roots share one set of seen vertical
-segments, so a phase passes over the graph once. On entering a
-horizontal segment a search first checks, from a lookahead pointer,
-whether one of its neighbours is still free; matched segments never
-become free again, so the pointer only moves forward and keeps its place
-across phases. The neighbours are scanned in ascending order in one
-phase and in descending order in the next (the fairness of Duff, Kaya
-and Ucar, 2011). The search stops after a phase that augments nothing.
-That last phase searches every alternating path from the free
+segments, so a phase passes over the graph once. A search takes the
+first unseen neighbour of the horizontal segment it is in: a free one
+ends the search, which flips the path behind it, and a matched one takes
+the search on to its mate. The neighbours are scanned in ascending order
+in one phase and in descending order in the next (the fairness of Duff,
+Kaya and Ucar, 2011). The search stops after a phase that augments
+nothing. That last phase searches every alternating path from the free
 horizontal segments: it sees exactly the set the Koenig step reaches.
 """
 
@@ -124,28 +123,25 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     matching (each horizontal segment takes its first free neighbour).
     Each phase runs one depth-first search with an explicit stack from
     every free horizontal segment; the searches of a phase share one
-    ``seen`` flag per vertical segment, so none is entered twice. On
-    entering a horizontal segment the search first moves its lookahead
-    pointer past the matched neighbours: a free one ends the search and
-    the path on the stack is flipped. The pointer keeps its place across
-    phases, because a matched segment never becomes free again. Otherwise
-    the search descends through the first unseen neighbour to its mate,
-    scanning ascending ids in one phase and descending ids in the next.
-    A phase that augments nothing proves the matching maximum; the search
-    also stops when every horizontal segment is matched. The result is
-    deterministic.
+    ``seen`` flag per vertical segment, so none is entered twice. The
+    search takes the first unseen neighbour from its paused scan: a free
+    one ends the search and the path on the stack is flipped, a matched
+    one pauses the scan and the search descends to its mate. A scan that
+    runs out backs the search up one level, and the root's own gives the
+    root up. The neighbours are scanned by ascending ids in one phase and
+    by descending ids in the next. A phase that augments nothing proves
+    the matching maximum; the search also stops when every horizontal
+    segment is matched. The result is deterministic.
     """
     size = len(graph.first_cell)
     adj = graph.adjacency
     match_h = [-1] * size
     match_v = [-1] * size
-    look = [0] * size  # per horizontal segment: neighbours before it are matched
     free = []
     for h in graph.horizontal_ids:
-        for i, v in enumerate(adj[h]):
+        for v in adj[h]:
             if match_v[v] < 0:
                 match_h[h], match_v[v] = v, h
-                look[h] = i + 1
                 break
         else:
             free.append(h)
@@ -155,36 +151,27 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
         augmented = False
         for root in free:
             # scans[j] is the paused neighbour scan of path[j]
-            h, path, scans = root, [root], []
-            while True:  # h has just been entered
-                edges, i = adj[h], look[h]
-                end = len(edges)
-                while i < end and match_v[edges[i]] >= 0:
-                    i += 1
-                look[h] = i
-                if i < end:  # a free neighbour: flip the path
-                    v = edges[i]
+            path, scans, it = [root], [], scan(adj[root])
+            while True:
+                for v in it:
+                    if not seen[v]:
+                        seen[v] = 1
+                        break
+                else:  # the scan ran out: back up one level
+                    path.pop()
+                    if not scans:  # the root is exhausted
+                        break
+                    it = scans.pop()
+                    continue
+                h = match_v[v]
+                if h < 0:  # a free neighbour: flip the path
                     for u in reversed(path):
                         match_h[u], match_v[v], v = v, u, match_h[u]
                     augmented = True
                     break
-                it = scan(edges)
-                while True:  # the first unseen neighbour, backing up as needed
-                    for v in it:
-                        if not seen[v]:
-                            seen[v] = 1
-                            break
-                    else:
-                        path.pop()
-                        if scans:
-                            it = scans.pop()
-                            continue
-                    break
-                if not path:  # the root is exhausted
-                    break
                 scans.append(it)
-                h = match_v[v]
                 path.append(h)
+                it = scan(adj[h])
         if not augmented:
             break
         free = [h for h in free if match_h[h] < 0]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -15,11 +16,20 @@ from .coverage_path import RobotParams
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by a complete file, with the mode a plain write
+    gives: the existing file's, or ``0o666`` less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".turncover-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)  # mkstemp creates the file owner-only
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -70,6 +70,8 @@ def plan(
     ``starts`` are unit-cell coordinates; without them the robots are
     spread evenly along the loop.
     """
+    if k < 1:
+        raise ValueError("robot count must be at least 1")
     params = params or RobotParams()
     if starts:
         if len(starts) != k:

@@ -1,6 +1,6 @@
 import pytest
 
-from turncover import bench, brick_tiling, pipeline
+from turncover import bench, brick_tiling, grid_map, pipeline
 from turncover.coverage_path import RobotParams
 from turncover.grid_map import DisconnectedGraphError, GridMap
 
@@ -127,6 +127,18 @@ class TestPlanInputs:
         with pytest.raises(ValueError, match="exceed loop length"):
             pipeline.plan(grid, k=4 * len(free) + 1)
         assert calls == []
+
+    def test_robot_count_rejected_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the map was discretized")
+
+        grid = bench.generate_random_map((6, 6), 0.1, 9)
+        monkeypatch.setattr(grid_map, "build_spanning_graph", refuse)
+        monkeypatch.setattr(pipeline, "build_tree", refuse)
+        for k in (0, -2):
+            with pytest.raises(ValueError,
+                               match="robot count must be at least 1"):
+                pipeline.plan(grid, k=k)
 
 
 def test_tables_render():

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -233,6 +235,46 @@ class TestBench:
             assert captured.err == (
                 "usage error: --mega dimensions must be at least 1\n")
             assert captured.out == ""
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+class TestOutputFiles:
+    """Output files are replaced atomically, with the mode a plain write
+    would give them."""
+
+    def test_new_file_follows_umask(self, strip_map, tmp_path, umask_022):
+        out = tmp_path / "plan.txt"
+        assert main(["plan", "--map", strip_map, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_existing_file_keeps_its_mode(self, strip_map, tmp_path,
+                                          umask_022):
+        out = tmp_path / "tiling.txt"
+        out.write_text("old\n")
+        out.chmod(0o664)
+        assert main(["tile", "--map", strip_map, "--out", str(out)]) == 0
+        assert out.read_text() != "old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o664
+
+    def test_failed_replace_keeps_old_file(self, strip_map, tmp_path, capsys,
+                                           monkeypatch):
+        out = tmp_path / "tiling.txt"
+        out.write_bytes(b"old bytes\n")
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert main(["tile", "--map", strip_map, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("io error:")
+        assert out.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob(".turncover-*"))
 
 
 @pytest.mark.parametrize("d", [0.5, 0.3, 1.7, 0.05])
