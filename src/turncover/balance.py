@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import ne, sub
 
@@ -41,18 +40,21 @@ from .coverage_path import (
     path_time,
     turn_term,
 )
-from .grid_map import Coord
+from .grid_map import Coord, Record
 
 
-@dataclass(frozen=True)
-class RobotStart:
+class RobotStart(Record):
     robot_id: int
     requested: Coord
     anchored: int  # loop index
 
+    def __init__(self, robot_id: int, requested: Coord,
+                 anchored: int) -> None:
+        self.__dict__.update(robot_id=robot_id, requested=requested,
+                             anchored=anchored)
 
-@dataclass(frozen=True)
-class RobotAssignment:
+
+class RobotAssignment(Record):
     robot_id: int
     anchored: int
     arc_start: int  # loop index of first arc node
@@ -61,10 +63,19 @@ class RobotAssignment:
     twists: TwistSet
     time: float
 
+    def __init__(self, robot_id: int, anchored: int, arc_start: int,
+                 arc_length: int, sequence: tuple[Coord, ...],
+                 twists: TwistSet, time: float) -> None:
+        self.__dict__.update(robot_id=robot_id, anchored=anchored,
+                             arc_start=arc_start, arc_length=arc_length,
+                             sequence=sequence, twists=twists, time=time)
 
-@dataclass(frozen=True)
-class CoveragePlan:
+
+class CoveragePlan(Record):
     robots: tuple[RobotAssignment, ...]
+
+    def __init__(self, robots: tuple[RobotAssignment, ...]) -> None:
+        self.__dict__["robots"] = robots
 
     @property
     def makespan(self) -> float:
@@ -102,10 +113,12 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
     return starts
 
 
-def _arc_sequences(
-    loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int
-) -> list[list[Coord]]:
-    """Concrete node sequences for the two sweep strategies."""
+def _arc_sequence(
+    loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int,
+    near_first: bool,
+) -> list[Coord]:
+    """Concrete node sequence of one sweep strategy: near start end
+    first, or far end first."""
     size = len(loop)
     if arc_length < 1 or arc_length > size:
         raise ValueError(f"bad arc length {arc_length}")
@@ -117,9 +130,18 @@ def _arc_sequences(
     nodes = list(loop.nodes[first:end])
     if end > size:
         nodes += loop.nodes[:end - size]
-    seq_a = nodes[p::-1] + nodes[1:]          # near start end first
-    seq_b = nodes[p:] + nodes[-2::-1]         # far end first
-    return [seq_a, seq_b]
+    if near_first:
+        return nodes[p::-1] + nodes[1:]
+    return nodes[p:] + nodes[-2::-1]
+
+
+def _arc_sequences(
+    loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int
+) -> list[list[Coord]]:
+    """Concrete node sequences for the two sweep strategies, near start
+    end first and far end first."""
+    return [_arc_sequence(loop, arc_start, arc_length, anchor, near_first)
+            for near_first in (True, False)]
 
 
 def arc_cost(
@@ -276,7 +298,7 @@ class LoopCostModel:
     def sweep_order(self, arc_start: int, arc_length: int,
                     anchor: int) -> tuple[float, bool]:
         """:meth:`arc_cost` of the arc and whether the near-end-first
-        order (the first sequence of :func:`_arc_sequences`) achieves it.
+        order (:func:`_arc_sequence` with ``near_first``) achieves it.
 
         Both orders are timed as floats and ties go to the near end, as
         ``min`` over the two timed sequences would pick. An anchor at the
@@ -460,19 +482,20 @@ def balance_partition(
 
     assignments = []
     for (arc_start, arc_length), robot in zip(arcs, ordered):
-        near, far = _arc_sequences(loop, arc_start, arc_length, robot.anchored)
         if k == 1:
             # the whole loop one way from the anchor; reversing only adds.
             # path_time prices this one sweep: on a 51,840-node loop it
             # takes about 5 ms, where building a LoopCostModel for
             # sweep_order takes about 28 ms, a fifth of such a plan.
-            seq = near
+            seq = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
+                                True)
             twists = extract_twists(seq)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
-            seq = near if near_first else far
+            seq = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
+                                near_first)
             twists = extract_twists(seq)
         assignments.append(
             RobotAssignment(

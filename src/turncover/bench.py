@@ -5,35 +5,38 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import pipeline, tree_builder
 from .coverage_path import RobotParams
-from .grid_map import Coord, GridMap, coverage_nodes_of, flood_fill
+from .grid_map import Coord, GridMap, Record, coverage_nodes_of, flood_fill
 from .pipeline import TREE_METHODS
 
 MAX_ATTEMPTS = 1000  # maps generate_random_map draws before giving up
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     grid: GridMap
-    k: int = 1
-    starts: tuple[Coord, ...] | None = None
-    params: RobotParams = field(default_factory=RobotParams)
-    tree_method: str = "tmstc"
-    seed: int = 0
+    k: int
+    starts: tuple[Coord, ...] | None
+    params: RobotParams
+    tree_method: str
+    seed: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, name: str, grid: GridMap, k: int = 1,
+                 starts: tuple[Coord, ...] | None = None,
+                 params: RobotParams = RobotParams(),  # immutable, so shared
+                 tree_method: str = "tmstc", seed: int = 0) -> None:
+        if k < 1:
             raise ValueError("robot count must be at least 1")
-        if self.tree_method not in TREE_METHODS:
-            raise ValueError(f"unknown tree method {self.tree_method!r}")
+        if tree_method not in TREE_METHODS:
+            raise ValueError(f"unknown tree method {tree_method!r}")
+        self.__dict__.update(name=name, grid=grid, k=k, starts=starts,
+                             params=params, tree_method=tree_method,
+                             seed=seed)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Record):
     scenario: str
     tree_method: str
     k: int
@@ -43,6 +46,16 @@ class RunReport:
     max_time: float
     min_time: float
     planning_seconds: float
+
+    def __init__(self, scenario: str, tree_method: str, k: int,
+                 brick_count: int, loop_length: int,
+                 turns_by_method: dict[str, int], max_time: float,
+                 min_time: float, planning_seconds: float) -> None:
+        self.__dict__.update(scenario=scenario, tree_method=tree_method, k=k,
+                             brick_count=brick_count, loop_length=loop_length,
+                             turns_by_method=turns_by_method,
+                             max_time=max_time, min_time=min_time,
+                             planning_seconds=planning_seconds)
 
     def record_line(self) -> str:
         """Machine-readable record; field order is fixed and documented in

@@ -33,20 +33,18 @@ horizontal segments: it sees exactly the set the Koenig step reaches.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import ne
 
-from .grid_map import Coord, SpanningGraph
+from .grid_map import Coord, Record, SpanningGraph
 
 _RIGHT, _DOWN = 1, 2  # a cell's deleted border, in tiling_from_independent_set
 _SWAP = bytes.maketrans(b"\0\1", b"\1\0")  # orientation byte -> horizontal flag
 _IS_ID = (-1).__lt__  # a segment id, not the -1 of no segment
 
 
-@dataclass(frozen=True)
-class SegmentGraph:
+class SegmentGraph(Record):
     """The conflict graph on flat arrays by segment id.
 
     Each segment ``s`` is the border right of (``vertical[s] == 1``) or
@@ -62,6 +60,13 @@ class SegmentGraph:
     horizontal_ids: list[int]
     adjacency: list[Sequence[int]]
 
+    def __init__(self, first_cell: list[int], vertical: bytes,
+                 horizontal_ids: list[int],
+                 adjacency: list[Sequence[int]]) -> None:
+        self.__dict__.update(first_cell=first_cell, vertical=vertical,
+                             horizontal_ids=horizontal_ids,
+                             adjacency=adjacency)
+
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The ``(horizontal id, vertical id)`` pairs, sorted."""
@@ -74,11 +79,13 @@ class SegmentGraph:
         return range(len(self.first_cell))
 
 
-@dataclass(frozen=True)
-class BrickSet:
+class BrickSet(Record):
     """Disjoint straight bricks covering every node of the spanning graph."""
 
     bricks: tuple[tuple[Coord, ...], ...]
+
+    def __init__(self, bricks: tuple[tuple[Coord, ...], ...]) -> None:
+        self.__dict__["bricks"] = bricks
 
     def __len__(self) -> int:
         return len(self.bricks)

@@ -15,44 +15,47 @@ cost per 90-degree twist.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import ne, sub
 
-from .grid_map import Coord
+from .grid_map import Coord, Record
 from .tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
 
 
-@dataclass(frozen=True)
-class RobotParams:
+class RobotParams(Record):
     """Kinematics of the covering robot; defaults match the simulated
     differential-drive platform (v_max 0.5 m/s, omega 0.8 rad/s,
     accel 0.6 m/s^2). The tool width is the map's ``resolution_d``."""
 
-    accel: float = 0.6
-    v_max: float = 0.5
-    omega: float = 0.8
+    accel: float
+    v_max: float
+    omega: float
 
-    def __post_init__(self) -> None:
-        for name in ("accel", "v_max", "omega"):
-            if not getattr(self, name) > 0:  # NaN fails too
+    def __init__(self, accel: float = 0.6, v_max: float = 0.5,
+                 omega: float = 0.8) -> None:
+        for name, value in (("accel", accel), ("v_max", v_max),
+                            ("omega", omega)):
+            if not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be strictly positive")
+        self.__dict__.update(accel=accel, v_max=v_max, omega=omega)
 
 
-@dataclass(frozen=True)
-class CoverageLoop:
+class CoverageLoop(Record):
     """Cyclic sequence of coverage nodes; consecutive entries (and the
     wrap-around pair) are 4-adjacent unit cells."""
 
     nodes: tuple[Coord, ...]
-    resolution_d: float = 0.5
+    resolution_d: float
+
+    def __init__(self, nodes: tuple[Coord, ...],
+                 resolution_d: float = 0.5) -> None:
+        self.__dict__.update(nodes=nodes, resolution_d=resolution_d)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-@dataclass(frozen=True)
-class TwistSet:
+class TwistSet(Record):
     """Stop-and-rotate points of one contiguous path.
 
     ``indices`` point into the source node sequence; the first and last
@@ -62,6 +65,10 @@ class TwistSet:
 
     indices: tuple[int, ...]
     points: tuple[Coord, ...]
+
+    def __init__(self, indices: tuple[int, ...],
+                 points: tuple[Coord, ...]) -> None:
+        self.__dict__.update(indices=indices, points=points)
 
     @property
     def n(self) -> int:
@@ -193,10 +200,14 @@ def path_time(twists: TwistSet, params: RobotParams,
 
     Summation uses math.fsum so the result does not depend on leg
     order: mirror-image traversals of the same arc time out to the
-    exact same float.
+    exact same float. Legs take few distinct lengths, so each length is
+    timed once.
     """
-    legs = [
-        leg_time(math.hypot(x2 - x1, y2 - y1) * resolution_d, params)
-        for (x1, y1), (x2, y2) in zip(twists.points, twists.points[1:])
-    ]
+    times: dict[float, float] = {}
+    legs = []
+    for (x1, y1), (x2, y2) in zip(twists.points, twists.points[1:]):
+        distance = math.hypot(x2 - x1, y2 - y1) * resolution_d
+        if distance not in times:
+            times[distance] = leg_time(distance, params)
+        legs.append(times[distance])
     return math.fsum(legs + [turn_term(twists.n, params)])

@@ -16,7 +16,6 @@ lives in flat lists and bytearrays instead of tuple-keyed dicts.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 
@@ -65,25 +64,65 @@ def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
     return reached
 
 
-@dataclass(frozen=True)
-class GridMap:
+class Record:
+    """Base of the immutable records: the annotated fields of a subclass,
+    in order, are its value. Equality and hashing compare those fields
+    between records of one class, and ``repr`` lists them. Assignment and
+    deletion raise ``AttributeError``; each ``__init__`` sets the fields
+    through ``__dict__``, as :func:`functools.cached_property` sets its
+    values. Plain classes instead of frozen dataclasses, because
+    ``import dataclasses`` and generating the methods cost far more than
+    planning a small map."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GridMap(Record):
     """Occupancy grid of unit cells; ``cells[y * width + x]`` is True when occupied."""
 
     width: int
     height: int
     cells: tuple[bool, ...]
-    resolution_d: float = 0.5
+    resolution_d: float
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
+    def __init__(self, width: int, height: int, cells: tuple[bool, ...],
+                 resolution_d: float = 0.5) -> None:
+        if width < 1 or height < 1:
             raise MapFormatError("map dimensions must be at least 1x1")
-        if len(self.cells) != self.width * self.height:
+        if len(cells) != width * height:
             raise MapFormatError(
-                f"cell count {len(self.cells)} does not match "
-                f"{self.width}x{self.height}"
+                f"cell count {len(cells)} does not match {width}x{height}"
             )
-        if not self.resolution_d > 0:
+        if not resolution_d > 0:
             raise MapFormatError("resolution_d must be positive")
+        self.__dict__.update(width=width, height=height, cells=cells,
+                             resolution_d=resolution_d)
 
     def is_occupied(self, x: int, y: int) -> bool:
         """Cells outside the map count as occupied."""
@@ -106,13 +145,17 @@ class GridMap:
         ]
 
 
-@dataclass(frozen=True)
-class SpanningGraph:
+class SpanningGraph(Record):
     """Grid graph of free mega cells with 4-adjacency; edge length is 2d."""
 
     mega_width: int
     mega_height: int
     nodes: frozenset[Coord]
+
+    def __init__(self, mega_width: int, mega_height: int,
+                 nodes: frozenset[Coord]) -> None:
+        self.__dict__.update(mega_width=mega_width, mega_height=mega_height,
+                             nodes=nodes)
 
     @cached_property
     def free(self) -> bytes:

@@ -2,24 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import balance, brick_tiling, coverage_path, grid_map, tree_builder
 from .balance import CoveragePlan, RobotStart
 from .brick_tiling import BrickSet
 from .coverage_path import CoverageLoop, RobotParams
-from .grid_map import Coord, GridMap, SpanningGraph
+from .grid_map import Coord, GridMap, Record, SpanningGraph
 from .tree_builder import SpanningTree
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(Record):
     span: SpanningGraph
     bricks: BrickSet | None
     tree: SpanningTree
     loop: CoverageLoop
     plan: CoveragePlan
     tree_turns: int
+
+    def __init__(self, span: SpanningGraph, bricks: BrickSet | None,
+                 tree: SpanningTree, loop: CoverageLoop, plan: CoveragePlan,
+                 tree_turns: int) -> None:
+        self.__dict__.update(span=span, bricks=bricks, tree=tree, loop=loop,
+                             plan=plan, tree_turns=tree_turns)
 
     @property
     def brick_count(self) -> int:

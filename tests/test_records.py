@@ -15,7 +15,8 @@ from turncover.pipeline import PlanResult
 from turncover.tree_builder import SpanningTree
 
 LOOP = ((0, 0), (0, 1), (1, 1), (1, 0))
-TREE = SpanningTree(frozenset({(0, 0)}), 1, bytearray(1))  # compared by identity
+# trees compare by identity, so both calls of _cases share this one
+TREE = SpanningTree(frozenset({(0, 0)}), 1, bytearray(1))
 
 
 def _cases():
@@ -38,7 +39,8 @@ def _cases():
         (BrickSet, ("bricks",), ((((0, 0), (1, 0)), ((0, 1),)),)),
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
         (CoverageLoop, ("nodes", "resolution_d"), (LOOP, 0.25)),
-        (TwistSet, ("indices", "points"), ((0, 1, 3), ((0, 0), (0, 1), (1, 0)))),
+        (TwistSet, ("indices", "points"),
+         ((0, 1, 3), ((0, 0), (0, 1), (1, 0)))),
         (RobotStart, ("robot_id", "requested", "anchored"), (1, (2, 3), 4)),
         (RobotAssignment,
          ("robot_id", "anchored", "arc_start", "arc_length", "sequence",

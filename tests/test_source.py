@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,4 +53,44 @@ def test_src_imports_stdlib_only():
                 continue
             offenders += [f"{path.name}:{node.lineno} {name}" for name in names
                           if name.split(".")[0] not in sys.stdlib_module_names]
+    assert offenders == []
+
+
+def test_cli_import_loads_every_layer_without_dataclasses():
+    # the records are plain classes: dataclasses and the inspect module
+    # it pulls in would cost every process more than planning a small map
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import turncover.cli; print(' '.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-c", code,
+                           str(SOURCE.parent)], capture_output=True,
+                          text=True, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    layers = {f"turncover.{path.stem}" for path in SOURCE.glob("*.py")
+              if path.stem != "__init__"}
+    assert len(layers) == 9 and layers <= loaded
+
+
+def test_src_imports_only_at_module_level():
+    # no import is deferred into a function, so importing turncover.cli
+    # pays for every layer up front, and none of them is dataclasses
+    offenders = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += [
+                    f"{path.name}:{node.lineno} inside {func.name}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}"
+                          for name in names
+                          if name.split(".")[0] == "dataclasses"]
     assert offenders == []
