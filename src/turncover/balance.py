@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from itertools import accumulate, compress
-from operator import ne, sub
+from itertools import accumulate
+from operator import sub
 
 from .coverage_path import (
     CoverageLoop,
@@ -135,6 +135,34 @@ def _arc_sequence(
     return nodes[p:] + nodes[-2::-1]
 
 
+def _sweep_twists(seq: list[Coord] | tuple[Coord, ...], inner: list[int],
+                  arc_length: int, offset: int, near_first: bool) -> TwistSet:
+    """Twists of the sweep ``seq`` that :func:`_arc_sequence` builds for
+    an arc anchored ``offset`` nodes after its first, from the arc's
+    interior turns ``inner`` (:meth:`LoopCostModel.inner_turns`).
+
+    They are what :func:`extract_twists` finds on ``seq``. The sweep
+    turns where the arc turns, mirrored around the anchor on the leg
+    walked first and again around the reversal on the leg after it; a
+    loop's nodes are distinct, so none of its turns is a reversal. The
+    sweep's own reversal counts twice, unless the anchor sits at the end
+    the sweep goes to first and the sweep runs one way.
+    """
+    if arc_length == 1:
+        indices = [0]
+    else:
+        if near_first:  # back to the arc's first node, then forward
+            r = offset
+            out = [r - j for j in reversed(inner) if j < offset]
+            back = [r + j for j in inner]
+        else:  # forward to the arc's last node, then back
+            r = arc_length - 1 - offset
+            out = [j - offset for j in inner if j > offset]
+            back = [r + arc_length - 1 - j for j in reversed(inner)]
+        indices = [0, *out, *((r, r) if r else ()), *back, r + arc_length - 1]
+    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
+
+
 def _arc_sequences(
     loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int
 ) -> list[list[Coord]]:
@@ -184,14 +212,10 @@ class LoopCostModel:
     def __init__(self, loop: CoverageLoop, params: RobotParams):
         self.size = size = len(loop)
         d = loop.resolution_d
-        nodes = loop.nodes
-        # headings as steps of the code x * m + y, as in extract_twists,
-        # with m = 2: loop neighbours are 4-adjacent, so the steps +-1
-        # and +-2 tell the four headings apart
-        code = [2 * x + y for x, y in nodes]
-        steps = list(map(sub, code[1:] + code[:1], code))
-        turning = list(map(ne, steps[-1:] + steps[:-1], steps))
-        turn_idx = list(compress(range(size), turning))
+        turn_idx = list(loop.turns)
+        turning = bytearray(size)
+        for t in turn_idx:
+            turning[t] = 1
         # two unrolled periods of turning positions; _rank[x] counts those <= x
         self._turns2 = doubled = turn_idx + [t + size for t in turn_idx]
         self._rank = list(accumulate(turning * 2))
@@ -277,6 +301,16 @@ class LoopCostModel:
             return (full + (a if a < b else b)) / scale
 
         return aim, cost
+
+    def inner_turns(self, arc_start: int, arc_length: int) -> list[int]:
+        """Ascending offsets, from 1 to ``arc_length - 2``, of the arc's
+        nodes at which the loop turns."""
+        if arc_length < 3:
+            return []
+        first = arc_start % self.size
+        rank = self._rank
+        return [t - first for t in
+                self._turns2[rank[first]:rank[first + arc_length - 2]]]
 
     def _aim_arc(self, arc_start: int, arc_length: int,
                  anchor: int) -> tuple[int, int]:
@@ -484,19 +518,25 @@ def balance_partition(
     for (arc_start, arc_length), robot in zip(arcs, ordered):
         if k == 1:
             # the whole loop one way from the anchor; reversing only adds.
-            # path_time prices this one sweep: on a 51,840-node loop it
-            # takes about 5 ms, where building a LoopCostModel for
-            # sweep_order takes about 28 ms, a fifth of such a plan.
-            seq = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
-                                True)
-            twists = extract_twists(seq)
+            # path_time prices this one sweep, whose twists are the
+            # loop's turns rotated to the anchor, without building a
+            # LoopCostModel (see ROADMAP, rejected simplifications)
+            a = robot.anchored
+            seq = loop.nodes[a:] + loop.nodes[:a]
+            inner = ([i - a for i in loop.turns if i > a]
+                     + [i - a + size for i in loop.turns if i < a])
+            if inner and inner[-1] == size - 1:  # the path's last node
+                inner.pop()
+            twists = _sweep_twists(seq, inner, size, 0, True)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
             seq = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
                                 near_first)
-            twists = extract_twists(seq)
+            twists = _sweep_twists(
+                seq, model.inner_turns(arc_start, arc_length), arc_length,
+                (robot.anchored - arc_start) % size, near_first)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import time
 
-from . import pipeline, tree_builder
+from . import grid_map, pipeline, tree_builder
 from .coverage_path import RobotParams
 from .grid_map import Coord, GridMap, Record, coverage_nodes_of, flood_fill
 from .pipeline import TREE_METHODS
@@ -129,8 +129,12 @@ def run_scenario(scenario: Scenario) -> RunReport:
     )
     planning = time.perf_counter() - t0
     if scenario.starts:
-        # like turns_by_method, refuse a map that splits into components
-        pipeline.build_component(scenario.grid, None)
+        # like turns_by_method, refuse a map that splits into components:
+        # the plan's component is the whole graph unless the map splits,
+        # and then the component search words the error
+        full = grid_map.build_spanning_graph(scenario.grid)
+        if len(full.nodes) != len(result.span.nodes):
+            grid_map.connected_component(full, [])
     turns = {}
     for method in TREE_METHODS:
         if method == scenario.tree_method:

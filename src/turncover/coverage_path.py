@@ -15,7 +15,8 @@ cost per 90-degree twist.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
 from operator import ne, sub
 
 from .grid_map import Coord, Record
@@ -54,6 +55,20 @@ class CoverageLoop(Record):
     def __len__(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def turns(self) -> tuple[int, ...]:
+        """Ascending loop indices at which the heading changes: index
+        ``i`` when the step into node ``i`` differs from the step out of
+        it, cyclically. Headings are the steps of the code ``2x + y``:
+        loop neighbours are 4-adjacent, so the steps +-1 and +-2 tell the
+        four headings apart. :func:`circumnavigate` stores the turns it
+        walked instead; this is not a field, so equality, hashing and
+        ``repr`` ignore it."""
+        code = [2 * x + y for x, y in self.nodes]
+        steps = list(map(sub, code[1:] + code[:1], code))
+        return tuple(compress(range(len(steps)),
+                              map(ne, steps[-1:] + steps[:-1], steps)))
+
 
 class TwistSet(Record):
     """Stop-and-rotate points of one contiguous path.
@@ -75,6 +90,18 @@ class TwistSet(Record):
         return len(self.indices)
 
 
+# The walk's move from each quadrant of a mega cell, by the cell's mask:
+# the heading's own bit (RIGHT, DOWN, LEFT, UP) as a byte code. The bits
+# above the four edge bits play no part, so 16 entries repeat to 256.
+_TOP_LEFT = bytes(UP if mask & UP else RIGHT for mask in range(16)) * 16
+_TOP_RIGHT = bytes(RIGHT if mask & RIGHT else DOWN for mask in range(16)) * 16
+_BOTTOM_RIGHT = bytes(DOWN if mask & DOWN else LEFT for mask in range(16)) * 16
+_BOTTOM_LEFT = bytes(LEFT if mask & LEFT else UP for mask in range(16)) * 16
+# per heading, 1 for the cells whose move has that heading
+_HEADING = {h: bytes(h) + b"\1" + bytes(255 - h)
+            for h in (RIGHT, DOWN, LEFT, UP)}
+
+
 def circumnavigate(tree: SpanningTree, start: Coord,
                    resolution_d: float = 0.5) -> CoverageLoop:
     """Loop around the tree by the quadrant rule, beginning at ``start``;
@@ -83,51 +110,98 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     The loop has positive signed area in (x, y) coordinates
     (counterclockwise with the y axis pointing up). The successor of a
     cell is fixed, so a walk that first returns to ``start`` after
-    exactly 4N steps has visited 4N distinct cells; any other outcome
-    means the tree was not connected.
+    exactly 4N steps has visited 4N distinct cells; any other outcome,
+    a step off the grid included, means the tree was not connected.
+
+    The walk goes by straight runs. Each unit cell's move is written
+    once, a mega column at a time, and a run ends at the first cell of
+    its column (down, up) or row (right, left) whose move has another
+    heading. The run starts are the loop's turns, which the loop keeps
+    as :attr:`CoverageLoop.turns`.
     """
     height, masks = tree.height, tree.flat_masks
+    rows, cols = 2 * height, 2 * (len(masks) // height)
     sx, sy = start
-    if (sx >> 1, sy >> 1) not in tree.nodes:
+    if not (0 <= sx < cols and 0 <= sy < rows
+            and (sx >> 1, sy >> 1) in tree.nodes):
         raise ValueError(f"start {start} lies outside the tree's mega cells")
     n = 4 * len(tree.nodes)
-    nodes = [start]
-    append = nodes.append
+    moves = bytearray(rows * cols)  # column-major: x * rows + y
+    for mx in range(cols // 2):
+        column = masks[mx * height:(mx + 1) * height]
+        base = 2 * mx * rows
+        moves[base:base + rows:2] = column.translate(_TOP_LEFT)
+        moves[base + 1:base + rows:2] = column.translate(_BOTTOM_LEFT)
+        base += rows
+        moves[base:base + rows:2] = column.translate(_TOP_RIGHT)
+        moves[base + 1:base + rows:2] = column.translate(_BOTTOM_RIGHT)
+    by_row = bytearray(rows * cols)  # row-major: y * cols + x
+    for row in range(rows):
+        by_row[row * cols:(row + 1) * cols] = moves[row::rows]
+    down, up = moves.translate(_HEADING[DOWN]), moves.translate(_HEADING[UP])
+    right = by_row.translate(_HEADING[RIGHT])
+    left = by_row.translate(_HEADING[LEFT])
+
+    nodes: list[Coord] = []
+    extend = nodes.extend
+    turns = []
     x, y = start
-    for _ in range(n):
-        mask = masks[(x >> 1) * height + (y >> 1)]
-        if y & 1:
-            if x & 1:  # bottom-right
-                if mask & DOWN:
-                    y += 1
-                else:
-                    x -= 1
-            elif mask & LEFT:  # bottom-left
-                x -= 1
-            else:
-                y -= 1
-        elif x & 1:  # top-right
-            if mask & RIGHT:
-                x += 1
-            else:
-                y += 1
-        elif mask & UP:  # top-left
-            y -= 1
+    heading = first = moves[x * rows + y]
+    while len(nodes) <= n:
+        turns.append(len(nodes))
+        # the run's cells move on by ``heading`` up to ``end``, which is
+        # off the grid when no cell of the column or row stops the run.
+        # Its tuples are made here, in loop order: tuples laid out in
+        # that order make reading the loop faster later.
+        if heading == DOWN:
+            base = x * rows
+            end = down.find(0, base + y, base + rows)
+            end = end - base if end >= 0 else rows
+            closes = x == sx and y < sy <= end
+            extend(zip(repeat(x), range(y, sy if closes else end)))
+            y = end
+        elif heading == UP:
+            base = x * rows
+            end = up.rfind(0, base, base + y)
+            end = end - base if end >= 0 else -1
+            closes = x == sx and end <= sy < y
+            extend(zip(repeat(x), range(y, sy if closes else end, -1)))
+            y = end
+        elif heading == RIGHT:
+            base = y * cols
+            end = right.find(0, base + x, base + cols)
+            end = end - base if end >= 0 else cols
+            closes = y == sy and x < sx <= end
+            extend(zip(range(x, sx if closes else end), repeat(y)))
+            x = end
         else:
-            x += 1
-        if x == sx and y == sy:
+            base = y * cols
+            end = left.rfind(0, base, base + x)
+            end = end - base if end >= 0 else -1
+            closes = y == sy and end <= sx < x
+            extend(zip(range(x, sx if closes else end, -1), repeat(y)))
+            x = end
+        if closes or not (0 <= x < cols and 0 <= y < rows):
             break
-        append((x, y))
-    if len(nodes) != n:
+        heading = moves[x * rows + y]
+    if not closes or len(nodes) != n:
         raise AssertionError(
             f"circumnavigation did not close after exactly {n} steps"
         )
-    return CoverageLoop(tuple(nodes), resolution_d)
+    if heading == first:  # the loop runs straight through its start
+        del turns[0]
+    loop = CoverageLoop(tuple(nodes), resolution_d)
+    loop.__dict__["turns"] = tuple(turns)
+    return loop
 
 
 def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     """Twist at every heading change, plus the path's first and last
     node; a reversal counts as two twist entries at the same node.
+
+    This is the definition of a path's twists. A plan does not call it:
+    the partition cuts each robot's twists from the loop's turns, to the
+    same result.
 
     Headings are the steps of the code ``x * m + y``, with ``m`` two more
     than the y range: a step between 4-adjacent cells is ``+-1`` or

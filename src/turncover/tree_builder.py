@@ -94,6 +94,12 @@ TURNS = tuple(
 )
 
 
+# GAINS[bit][mask]: the change in a node's turns when the edge ``bit``
+# joins the edges ``mask`` it has
+GAINS = {bit: tuple(TURNS[mask | bit] - TURNS[mask] for mask in range(16))
+         for bit in (RIGHT, DOWN, LEFT, UP)}
+
+
 def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     """Greedily connect bricks into one spanning tree.
 
@@ -101,11 +107,12 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     a min-heap keyed by cached cost; on pop, an edge joining already
     connected components is dropped, an edge whose recomputed cost still
     matches its cached cost is accepted, and anything else is reinserted
-    with the fresh cost. Ties break on lexicographic edge order via the
-    heap key ``(cost, a, b)`` of node ids ``a < b``, which sorts as
-    ``(cost, (a, b))`` of coordinates does. A cost is the change the edge
-    makes to the turn function at its two endpoints, read off their
-    neighbour masks through ``TURNS``.
+    with the fresh cost. A cost is the change the edge makes to the turn
+    function at its two endpoints, read off their neighbour masks
+    through ``GAINS``. The heap holds plain ints ``cost * E + e`` over the
+    index ``e`` of the edge in ``span.borders`` (``E`` edges), so ties
+    break on sorted edge order, as ``(cost, (a, b))`` of coordinates
+    sorts.
     """
     height = span.mega_height
     free = span.free
@@ -114,22 +121,26 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     masks = bytearray(n)
     components = len(span.nodes)
 
-    def cost(a: int, b: int) -> int:
-        ma, mb = masks[a], masks[b]
-        if b - a == height:
-            return TURNS[ma | RIGHT] - TURNS[ma] + TURNS[mb | LEFT] - TURNS[mb]
-        return TURNS[ma | DOWN] - TURNS[ma] + TURNS[mb | UP] - TURNS[mb]
-
-    def join(a: int, b: int, ra: int, rb: int) -> None:
-        """Put the edge between node ids ``a < b``, whose roots are
-        ``ra != rb``, into the tree."""
-        nonlocal components
-        _link(masks, a, b, height)
-        parent[ra] = rb
-        components -= 1
-
     for brick in bricks.bricks:
         cells = [x * height + y for x, y in brick]
+        if len(cells) > 1:
+            # a column or row of free cells that no brick edge has touched
+            # yet, in either order, takes all its edges at once: none of
+            # them can close a cycle
+            lo, hi = sorted((cells[0], cells[-1]))
+            step = 1 if hi - lo < height else height
+            run = slice(lo, hi + 1, step)
+            if (0 <= lo and hi < n
+                    and (step > 1 or lo // height == hi // height)
+                    and (cells if cells[0] == lo else cells[::-1])
+                    == list(range(lo, hi + 1, step))
+                    and 0 not in free[run] and not any(masks[run])):
+                head, tail = (DOWN, UP) if step == 1 else (RIGHT, LEFT)
+                masks[run] = bytes((head, *[head | tail] * (len(cells) - 2),
+                                    tail))
+                parent[run] = [hi] * len(cells)
+                components -= len(cells) - 1
+                continue
         for a, b in zip(cells, cells[1:]):
             if a > b:
                 a, b = b, a
@@ -142,27 +153,44 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
             ra, rb = find(parent, a), find(parent, b)
             if ra == rb:
                 raise ValueError("brick edges close a cycle")
-            join(a, b, ra, rb)
+            _link(masks, a, b, height)
+            parent[ra] = rb
+            components -= 1
 
-    # every graph edge not yet in the tree; the keys (cost, a, b) are
-    # unique, so the pops do not depend on the fill order
-    steps, bits = (1, height), (DOWN, RIGHT)  # by orientation byte
+    # every graph edge not yet in the tree; the keys are unique, so the
+    # pops do not depend on the fill order
+    firsts, right = span.borders
+    total = len(firsts)
+    gain_r, gain_d = GAINS[RIGHT], GAINS[DOWN]
+    gain_l, gain_u = GAINS[LEFT], GAINS[UP]
     heap = []
-    for a, r in zip(*span.borders):
-        if not masks[a] & bits[r]:
-            b = a + steps[r]
-            heap.append((cost(a, b), a, b))
+    for e, a in enumerate(firsts):
+        mask = masks[a]
+        if right[e]:
+            if not mask & RIGHT:
+                heap.append((gain_r[mask] + gain_l[masks[a + height]]) * total
+                            + e)
+        elif not mask & DOWN:
+            heap.append((gain_d[mask] + gain_u[masks[a + 1]]) * total + e)
     heapq.heapify(heap)
     while heap and components > 1:
-        cached, a, b = heapq.heappop(heap)
+        cached, e = divmod(heapq.heappop(heap), total)
+        a = firsts[e]
+        if right[e]:
+            b = a + height
+            fresh = gain_r[masks[a]] + gain_l[masks[b]]
+        else:
+            b = a + 1
+            fresh = gain_d[masks[a]] + gain_u[masks[b]]
         ra, rb = find(parent, a), find(parent, b)
         if ra == rb:
             continue
-        fresh = cost(a, b)
         if fresh == cached:
-            join(a, b, ra, rb)
+            _link(masks, a, b, height)
+            parent[ra] = rb
+            components -= 1
         else:
-            heapq.heappush(heap, (fresh, a, b))
+            heapq.heappush(heap, fresh * total + e)
 
     if components > 1:
         raise DisconnectedGraphError(

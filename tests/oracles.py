@@ -5,9 +5,10 @@ for small instances, a bottleneck DP over cut positions for the min-max
 partition and for each first cut, the feasibility sweep priced one
 ``LoopCostModel.arc_cost`` call at a time, the segment graph built from
 coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
-matching, the per-pair twist finder and loop turn count, the turn-cost
-delta of one edge on neighbour sets, and the DFS and Kruskal baseline
-trees as coordinate edge lists.
+matching, the quadrant-rule walk one unit cell at a time, the per-pair
+twist finder and loop turn count, the turn-cost delta of one edge on
+neighbour sets, and the DFS and Kruskal baseline trees as coordinate
+edge lists.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from turncover.balance import LoopCostModel, RobotStart, arc_cost
 from turncover.brick_tiling import SegmentGraph
 from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
 from turncover.grid_map import Coord, DisconnectedGraphError, SpanningGraph
-from turncover.tree_builder import turn_count
+from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
+                                    turn_count)
 
 from conftest import Edge, normalize_edge, span_edges
 
@@ -361,6 +363,59 @@ def hopcroft_karp(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
                         match_h[u], match_v[v] = v, u
                     break
     return frozenset((h, match_h[h]) for h in h_ids if match_h[h] >= 0)
+
+
+def quadrant_walk(tree: SpanningTree, start: Coord,
+                  resolution_d: float = 0.5) -> CoverageLoop:
+    """The circumnavigation loop walked one unit cell at a time.
+
+    From the top-left quadrant of a mega cell the walk goes up along an
+    up edge, else right; from the top-right, right along a right edge,
+    else down; from the bottom-right, down along a down edge, else left;
+    from the bottom-left, left along a left edge, else up. It must first
+    return to ``start`` after exactly 4N steps; a step off the grid of
+    the tree's masks also fails it.
+    """
+    height, masks = tree.height, tree.flat_masks
+    rows, cols = 2 * height, 2 * (len(masks) // height)
+    sx, sy = start
+    if not (0 <= sx < cols and 0 <= sy < rows
+            and (sx >> 1, sy >> 1) in tree.nodes):
+        raise ValueError(f"start {start} lies outside the tree's mega cells")
+    n = 4 * len(tree.nodes)
+    nodes = [start]
+    x, y = start
+    for _ in range(n):
+        mask = masks[(x >> 1) * height + (y >> 1)]
+        if y & 1:
+            if x & 1:  # bottom-right
+                if mask & DOWN:
+                    y += 1
+                else:
+                    x -= 1
+            elif mask & LEFT:  # bottom-left
+                x -= 1
+            else:
+                y -= 1
+        elif x & 1:  # top-right
+            if mask & RIGHT:
+                x += 1
+            else:
+                y += 1
+        elif mask & UP:  # top-left
+            y -= 1
+        else:
+            x += 1
+        if not (0 <= x < cols and 0 <= y < rows):
+            raise AssertionError(f"the walk left the grid at {(x, y)}")
+        if x == sx and y == sy:
+            break
+        nodes.append((x, y))
+    if len(nodes) != n:
+        raise AssertionError(
+            f"circumnavigation did not close after exactly {n} steps"
+        )
+    return CoverageLoop(tuple(nodes), resolution_d)
 
 
 def _direction(a: Coord, b: Coord) -> Coord:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turncover import balance, bench, pipeline
+from turncover import balance, bench, coverage_path, pipeline
 from turncover.balance import (
     LoopCostModel,
     RobotStart,
@@ -265,9 +265,8 @@ class TestBalancePartition:
         robot = plan.robots[0]
         assert robot.arc_length == len(loop)
         seq = list(loop.nodes)
-        assert robot.time == pytest.approx(
-            path_time(extract_twists(seq), PARAMS, loop.resolution_d)
-        )
+        assert robot.time == path_time(extract_twists(seq), PARAMS,
+                                       loop.resolution_d)
 
     def test_two_robots_diametric_symmetry(self):
         loop = square_loop()
@@ -440,13 +439,46 @@ class TestSweepSequences:
         rng = random.Random(k)
         for seed in range(4):
             loop = random_loop(seed, mega=(12, 12), ratio=0.1)
-            idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [RobotStart(i, loop.nodes[idx], idx)
-                      for i, idx in enumerate(idxs)]
-            for robot in balance_partition(loop, starts, PARAMS).robots:
-                assert robot.twists == extract_twists(robot.sequence)
-                assert robot.time == path_time(robot.twists, PARAMS,
-                                               loop.resolution_d)
+            size = len(loop)
+            base = rng.randrange(size)
+            anchor_sets = [
+                rng.sample(range(size), k),
+                # consecutive anchors: one-node arcs between two others,
+                # and anchors at the first and at the last node of their
+                # arcs, here and across the loop's wrap
+                [(base + i) % size for i in range(k)],
+                [(size - 1 + i) % size for i in range(k)],
+                # a pair of neighbours among spread anchors
+                [base, (base + 1) % size] + [(base + i * size // k) % size
+                                             for i in range(2, k)],
+            ]
+            for idxs in anchor_sets:
+                starts = [RobotStart(i, loop.nodes[idx], idx)
+                          for i, idx in enumerate(sorted(set(idxs)))]
+                for robot in balance_partition(loop, starts, PARAMS).robots:
+                    assert robot.twists == extract_twists(robot.sequence)
+                    assert robot.time == path_time(robot.twists, PARAMS,
+                                                   loop.resolution_d)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_plan_path_makes_no_extract_twists_call(monkeypatch, k):
+    # the plan cuts each robot's twists from the loop's turns
+    def refused(sequence):
+        raise AssertionError("extract_twists called on the plan path")
+
+    grid = bench.generate_random_map((10, 10), 0.1, k)
+    loop = pipeline.plan(grid, k=1).loop
+    pinned = [loop.nodes[i] for i in
+              sorted(random.Random(k).sample(range(len(loop)), k))]
+    monkeypatch.setattr(coverage_path, "extract_twists", refused)
+    monkeypatch.setattr(balance, "extract_twists", refused)
+    plans = [pipeline.plan(grid, k=k), pipeline.plan(grid, k=k, starts=pinned)]
+    monkeypatch.undo()
+    for result in plans:
+        assert len(result.plan.robots) == k
+        for robot in result.plan.robots:
+            assert robot.twists == extract_twists(robot.sequence)
 
 
 class TestGreedyCuts:

@@ -105,6 +105,31 @@ class TestRunScenario:
         with pytest.raises(DisconnectedGraphError):
             bench.run_scenario(scenario)
 
+    def test_split_map_error_text_is_the_component_search_one(self):
+        rows = ["001100", "001100"]
+        grid = GridMap(6, 2, tuple(ch == "1" for row in rows for ch in row))
+        with pytest.raises(DisconnectedGraphError) as expected:
+            pipeline.build_component(grid, None)
+        for starts in (((0, 0),), ((5, 1),)):
+            with pytest.raises(DisconnectedGraphError) as raised:
+                bench.run_scenario(bench.Scenario("s", grid, starts=starts))
+            assert str(raised.value) == str(expected.value)
+
+    def test_one_component_search_for_a_connected_pinned_map(
+            self, monkeypatch):
+        calls = []
+        search = grid_map.connected_component
+        monkeypatch.setattr(grid_map, "connected_component",
+                            lambda span, seeds: calls.append(seeds)
+                            or search(span, seeds))
+        grid = bench.generate_random_map((6, 6), 0.1, 9)
+        starts = pipeline.plan(grid, k=2).loop.nodes[:2]
+        calls.clear()
+        report = bench.run_scenario(
+            bench.Scenario("s", grid, k=2, starts=starts))
+        assert len(calls) == 1
+        assert report.k == 2
+
     def test_bad_scenario(self):
         grid = bench.generate_random_map((3, 3), 0.0, 1)
         with pytest.raises(ValueError):

@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turncover import bench, pipeline
 from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (
+    CoverageLoop,
     RobotParams,
     circumnavigate,
     extract_twists,
@@ -15,6 +18,7 @@ from turncover.coverage_path import (
 )
 from turncover.grid_map import coverage_nodes_of
 from turncover.tree_builder import (
+    SpanningTree,
     dfs_tree,
     kruskal_tree,
     merge_bricks,
@@ -22,7 +26,7 @@ from turncover.tree_builder import (
 )
 
 from conftest import make_span, make_tree, normalize_edge, random_connected_span
-from oracles import loop_turn_count
+from oracles import loop_turn_count, quadrant_walk
 
 PARAMS = RobotParams()
 
@@ -136,6 +140,9 @@ class TestCircumnavigate:
                 start = (2 * min(span.nodes)[0], 2 * min(span.nodes)[1])
                 loop = circumnavigate(tree, start)
                 assert loop_turn_count(loop) == tree_turns(tree)
+                # the turns the walk kept are the ones the nodes show
+                assert loop.turns == CoverageLoop(loop.nodes).turns
+                assert len(loop.turns) == tree_turns(tree)
 
     def test_matches_allowed_moves_walk(self):
         # every tree method, several start cells, every quadrant of each
@@ -171,6 +178,64 @@ class TestCircumnavigate:
                          list(zip(square, square[1:] + square[:1])))
         with pytest.raises(AssertionError, match="did not close"):
             circumnavigate(tree, (0, 0))
+
+
+def _walk_outcome(walk, tree, start):
+    """The loop and its turns, or the type of the walk's rejection."""
+    try:
+        loop = walk(tree, start)
+    except (AssertionError, ValueError) as error:
+        return type(error)
+    return loop, loop.turns
+
+
+_BUILDERS = (
+    lambda s: merge_bricks(min_brick_tiling(s), s),
+    lambda s: dfs_tree(s, min(s.nodes)),
+    lambda s: kruskal_tree(s, 3),
+)
+
+
+class TestWalkOracle:
+    """The run walk against the quadrant rule taken one cell at a time."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(range(3)))
+    def test_same_loop_from_every_start(self, seed, method):
+        span = random_connected_span(random.Random(seed), max_dim=7,
+                                     max_cells=30)
+        tree = _BUILDERS[method](span)
+        for start in sorted(coverage_nodes_of(span.nodes)):
+            loop, turns = _walk_outcome(circumnavigate, tree, start)
+            assert loop == quadrant_walk(tree, start)
+            assert turns == CoverageLoop(loop.nodes).turns
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 4), height=st.integers(1, 4))
+    def test_same_outcome_on_arbitrary_masks(self, data, width, height):
+        # masks with any bits, edges off the grid and off the node set
+        # among them: both walks give the same loop or both reject it
+        cells = [(x, y) for x in range(width) for y in range(height)]
+        nodes = data.draw(st.sets(st.sampled_from(cells), min_size=1))
+        masks = bytearray(data.draw(st.lists(
+            st.integers(0, 15), min_size=width * height,
+            max_size=width * height)))
+        tree = SpanningTree(frozenset(nodes), height, masks)
+        for mx, my in sorted(nodes):
+            for start in ((2 * mx, 2 * my), (2 * mx + 1, 2 * my),
+                          (2 * mx, 2 * my + 1), (2 * mx + 1, 2 * my + 1)):
+                expected = _walk_outcome(quadrant_walk, tree, start)
+                if isinstance(expected, tuple):
+                    loop, turns = expected
+                    expected = loop, CoverageLoop(loop.nodes).turns
+                assert _walk_outcome(circumnavigate, tree, start) == expected
+
+    def test_start_off_the_grid_rejected_by_both(self):
+        tree = make_tree([(0, 0)], [])
+        for start in ((-1, 0), (0, -2), (2, 0)):
+            for walk in (circumnavigate, quadrant_walk):
+                with pytest.raises(ValueError, match="outside"):
+                    walk(tree, start)
 
 
 class TestExtractTwists:

@@ -139,6 +139,44 @@ class TestMergeBricks:
             tree = merge_bricks(bricks, span)
             assert tree.edges == _reference_merge(bricks, span)
 
+    def test_brick_order_and_direction_leave_the_tree(self, rng):
+        # the heap keys and the brick edges depend on neither
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(30)]
+        spans += [pipeline.build_component(
+            bench.generate_random_map((20, 20), ratio, seed), None)
+            for seed, ratio in ((0, 0.1), (1, 0.2), (2, 0.3))]
+        for span in spans:
+            bricks = min_brick_tiling(span)
+            masks = merge_bricks(bricks, span).flat_masks
+            reversed_all = [brick[::-1] for brick in bricks.bricks]
+            some = [brick[::rng.choice((1, -1))] for brick in bricks.bricks]
+            for shuffled in (reversed_all, some):
+                rng.shuffle(shuffled)
+                tree = merge_bricks(BrickSet(tuple(shuffled)), span)
+                assert tree.flat_masks == masks
+
+    def test_bricks_sharing_a_cell_merge_edge_by_edge(self):
+        # bricks that touch cells of earlier ones, or are not straight,
+        # take the per-edge checks; the edges of these close no cycle
+        span = make_span(3, 3)
+        for bricks in (
+                (((0, 0), (1, 0)), ((1, 0), (2, 0)), ((0, 1), (1, 1)),
+                 ((2, 2), (2, 1), (1, 1))),
+                (((0, 0), (0, 1), (1, 1), (1, 0)), ((2, 0), (2, 1), (2, 2)),
+                 ((0, 2), (1, 2)), ((1, 2), (1, 1)))):
+            tree = merge_bricks(BrickSet(bricks), span)
+            assert tree.edges == _reference_merge(BrickSet(bricks), span)
+            assert len(tree.edges) == len(span.nodes) - 1
+
+    def test_brick_past_the_grid_rejected(self):
+        # straight runs of ids past the last node, in a column and in a
+        # row, reach the per-edge checks, which cannot read their flags
+        span = make_span(2, 2)
+        for brick in (((2, 0), (2, 1)), ((2, 0), (3, 0)), ((1, 1), (2, 1))):
+            with pytest.raises(IndexError):
+                merge_bricks(BrickSet((brick,)), span)
+
     @pytest.mark.parametrize("mega", [80, 120])
     def test_matches_neighbour_set_merge_at_scale(self, mega):
         span = pipeline.build_component(
