@@ -523,11 +523,9 @@ def balance_partition(
             # LoopCostModel (see ROADMAP, rejected simplifications)
             a = robot.anchored
             seq = loop.nodes[a:] + loop.nodes[:a]
-            inner = ([i - a for i in loop.turns if i > a]
-                     + [i - a + size for i in loop.turns if i < a])
-            if inner and inner[-1] == size - 1:  # the path's last node
-                inner.pop()
-            twists = _sweep_twists(seq, inner, size, 0, True)
+            rotated = sorted([(i - a) % size for i in loop.turns])
+            indices = [0, *[i for i in rotated if 0 < i < size - 1], size - 1]
+            twists = TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,

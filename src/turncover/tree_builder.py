@@ -123,24 +123,6 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
 
     for brick in bricks.bricks:
         cells = [x * height + y for x, y in brick]
-        if len(cells) > 1:
-            # a column or row of free cells that no brick edge has touched
-            # yet, in either order, takes all its edges at once: none of
-            # them can close a cycle
-            lo, hi = sorted((cells[0], cells[-1]))
-            step = 1 if hi - lo < height else height
-            run = slice(lo, hi + 1, step)
-            if (0 <= lo and hi < n
-                    and (step > 1 or lo // height == hi // height)
-                    and (cells if cells[0] == lo else cells[::-1])
-                    == list(range(lo, hi + 1, step))
-                    and 0 not in free[run] and not any(masks[run])):
-                head, tail = (DOWN, UP) if step == 1 else (RIGHT, LEFT)
-                masks[run] = bytes((head, *[head | tail] * (len(cells) - 2),
-                                    tail))
-                parent[run] = [hi] * len(cells)
-                components -= len(cells) - 1
-                continue
         for a, b in zip(cells, cells[1:]):
             if a > b:
                 a, b = b, a

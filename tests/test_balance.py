@@ -440,9 +440,10 @@ class TestSweepSequences:
         for seed in range(4):
             loop = random_loop(seed, mega=(12, 12), ratio=0.1)
             size = len(loop)
+            spread = rng.sample(range(size), k)
             base = rng.randrange(size)
             anchor_sets = [
-                rng.sample(range(size), k),
+                spread,
                 # consecutive anchors: one-node arcs between two others,
                 # and anchors at the first and at the last node of their
                 # arcs, here and across the loop's wrap
