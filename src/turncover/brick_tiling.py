@@ -80,15 +80,42 @@ class SegmentGraph(Record):
 
 
 class BrickSet(Record):
-    """Disjoint straight bricks covering every node of the spanning graph."""
+    """Disjoint straight bricks covering every node of the spanning graph.
+
+    A tiling keeps each brick as a ``range`` of node ids (see
+    :meth:`from_runs`); ``bricks`` is then a coordinate view derived on
+    first access."""
 
     bricks: tuple[tuple[Coord, ...], ...]
+    _runs = None  # class defaults, not annotated, so not fields
+    _height = 0
 
     def __init__(self, bricks: tuple[tuple[Coord, ...], ...]) -> None:
         self.__dict__["bricks"] = bricks
 
+    @classmethod
+    def from_runs(cls, runs: tuple[range, ...], height: int) -> BrickSet:
+        """Bricks given as runs of node ids ``x * height + y``."""
+        out = cls.__new__(cls)
+        out.__dict__.update(_runs=runs, _height=height)
+        return out
+
+    @cached_property
+    def bricks(self) -> tuple[tuple[Coord, ...], ...]:
+        height = self._height
+        return tuple([tuple(map(divmod, run, repeat(height)))
+                      for run in self._runs])
+
+    def id_runs(self, height: int) -> Sequence[Sequence[int]]:
+        """Each brick's cells as node ids ``x * height + y``, in brick
+        order; converted from the coordinates only for bricks built by
+        hand."""
+        if self._runs is not None and self._height == height:
+            return self._runs
+        return [[x * height + y for x, y in brick] for brick in self.bricks]
+
     def __len__(self) -> int:
-        return len(self.bricks)
+        return len(self.bricks if self._runs is None else self._runs)
 
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
@@ -116,10 +143,10 @@ def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
     cells = list(compress(first_cell, horizontal))
     around = zip(*[map(r.__getitem__, cells) for r in (
         right_of, right_of[1:], right_of[height:], right_of[height + 1:])])
-    nbrs = map(tuple, map(filter, repeat(_IS_ID), around))
     adjacency: list[Sequence[int]] = [()] * size
-    for h, vs in zip(h_ids, nbrs):
-        adjacency[h] = vs
+    for h, vs in zip(h_ids, around):
+        # most interior segments have all four neighbours: keep that tuple
+        adjacency[h] = vs if -1 not in vs else tuple(filter(_IS_ID, vs))
     return SegmentGraph(first_cell, vertical, h_ids, adjacency)
 
 
@@ -228,8 +255,9 @@ def tiling_from_independent_set(
     Independence guarantees every merged block is a straight brick and
     that the brick count R equals free cells S minus deleted borders T;
     a failure of either means the input set was not independent. Each
-    brick is read as a run of deleted borders from its first cell, and
-    the first cells are met in row-major order, which is brick order.
+    brick is read as a run of deleted borders from its first cell and
+    kept as the ``range`` of its node ids, and the first cells are met
+    in row-major order, which is brick order.
     """
     height = span.mega_height
     free = span.free
@@ -239,7 +267,7 @@ def tiling_from_independent_set(
     for s in keep:
         link[first_cell[s]] |= _RIGHT if vertical[s] else _DOWN
     todo = bytearray(free)
-    bricks = []
+    runs = []
     for y in range(height):
         for i in compress(range(y, n, height), free[y::height]):
             if not todo[i]:
@@ -257,15 +285,11 @@ def tiling_from_independent_set(
                     )
                 j += stride
                 todo[j] = 0
-            x, size = i // height, (j - i) // stride + 1
-            if kind == _DOWN:
-                bricks.append(tuple(zip(repeat(x, size), range(y, y + size))))
-            else:
-                bricks.append(tuple(zip(range(x, x + size), repeat(y, size))))
-    s, t, r = len(span.nodes), len(keep), len(bricks)
+            runs.append(range(i, j + 1, stride))
+    s, t, r = len(span.ids), len(keep), len(runs)
     if r != s - t:
         raise ValueError(f"tiling identity violated: R={r} S={s} T={t}")
-    return BrickSet(tuple(bricks))
+    return BrickSet.from_runs(tuple(runs), height)
 
 
 def min_brick_tiling(span: SpanningGraph) -> BrickSet:

@@ -123,9 +123,9 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     rows, cols = 2 * height, 2 * (len(masks) // height)
     sx, sy = start
     if not (0 <= sx < cols and 0 <= sy < rows
-            and (sx >> 1, sy >> 1) in tree.nodes):
+            and tree.free[(sx >> 1) * height + (sy >> 1)] == 1):
         raise ValueError(f"start {start} lies outside the tree's mega cells")
-    n = 4 * len(tree.nodes)
+    n = 4 * tree.free.count(1)
     moves = bytearray(rows * cols)  # column-major: x * rows + y
     for mx in range(cols // 2):
         column = masks[mx * height:(mx + 1) * height]

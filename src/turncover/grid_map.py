@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 
 Coord = tuple[int, int]
 Edge = tuple[Coord, Coord]
@@ -26,6 +26,7 @@ MOVINGAI_FREE = frozenset(".G")
 MOVINGAI_OCCUPIED = frozenset("@OTSW")
 GRID01_FREE = frozenset("0")
 GRID01_OCCUPIED = frozenset("1")
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 flag -> its negation
 
 
 class MapFormatError(ValueError):
@@ -46,22 +47,40 @@ def find(parent: list[int], node: int) -> int:
 
 
 def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
-    """Ids 4-connected to ``root`` through the ids flagged in ``todo``,
-    a flat layout of stride ``height``; clears their flags as it goes."""
+    """Ids 4-connected to the flagged id ``root`` through the ids flagged
+    in ``todo``, a flat layout of stride ``height``; clears their flags
+    as it goes.
+
+    The fill goes by column runs: a run is a maximal stretch of flagged
+    ids in one column, found by ``find``/``rfind`` on the flags and
+    cleared with one slice. The flagged ids of the neighbour columns
+    beside a run start the runs it reaches."""
     n = len(todo)
-    todo[root] = 0
-    reached = [root]
-    for i in reached:  # grows while it is read
-        y = i % height
-        # a neighbour off the grid reads the root, whose flag is clear
-        for j in (i + height if i + height < n else root,
-                  i + 1 if y + 1 < height else root,
-                  i - height if i >= height else root,
-                  i - 1 if y else root):
-            if todo[j]:
-                todo[j] = 0
-                reached.append(j)
+    reached: list[int] = []
+    runs = [_take_run(todo, height, root)]
+    for lo, hi in runs:  # grows while it is read
+        reached.extend(range(lo, hi))
+        for a, b in ((lo - height, hi - height), (lo + height, hi + height)):
+            if a < 0 or b > n:  # the neighbour column is off the grid
+                continue
+            j = todo.find(1, a, b)
+            while j >= 0:
+                run = _take_run(todo, height, j)
+                runs.append(run)
+                j = todo.find(1, run[1], b)
     return reached
+
+
+def _take_run(todo: bytearray, height: int, i: int) -> tuple[int, int]:
+    """The run ``[lo, hi)`` of flagged ids through the flagged id ``i``
+    in its column, its flags cleared."""
+    base = i - i % height
+    lo = todo.rfind(0, base, i) + 1 or base  # rfind is -1 when no 0 precedes i
+    hi = todo.find(0, i, base + height)
+    if hi < 0:
+        hi = base + height
+    todo[lo:hi] = bytes(hi - lo)
+    return lo, hi
 
 
 class Record:
@@ -70,9 +89,10 @@ class Record:
     between records of one class, and ``repr`` lists them. Assignment and
     deletion raise ``AttributeError``; each ``__init__`` sets the fields
     through ``__dict__``, as :func:`functools.cached_property` sets its
-    values. Plain classes instead of frozen dataclasses, because
-    ``import dataclasses`` and generating the methods cost far more than
-    planning a small map."""
+    values. The fields are read through ``getattr``, so a field may be a
+    cached property that a record derives on first access. Plain classes
+    instead of frozen dataclasses, because ``import dataclasses`` and
+    generating the methods cost far more than planning a small map."""
 
     _fields: tuple[str, ...] = ()
 
@@ -81,7 +101,7 @@ class Record:
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -146,7 +166,12 @@ class GridMap(Record):
 
 
 class SpanningGraph(Record):
-    """Grid graph of free mega cells with 4-adjacency; edge length is 2d."""
+    """Grid graph of free mega cells with 4-adjacency; edge length is 2d.
+
+    The graph keeps the view it was built from: the node set from this
+    constructor, or the flat flags from :meth:`from_free`, which is how
+    :func:`build_spanning_graph` builds it. The other view is derived on
+    first access, so a planned map never builds its coordinate tuples."""
 
     mega_width: int
     mega_height: int
@@ -156,6 +181,21 @@ class SpanningGraph(Record):
                  nodes: frozenset[Coord]) -> None:
         self.__dict__.update(mega_width=mega_width, mega_height=mega_height,
                              nodes=nodes)
+
+    @classmethod
+    def from_free(cls, mega_width: int, mega_height: int,
+                  free: bytes) -> SpanningGraph:
+        """The graph of the nodes flagged 1 in ``free``, laid out as
+        :attr:`free` is."""
+        span = cls.__new__(cls)
+        span.__dict__.update(mega_width=mega_width, mega_height=mega_height,
+                             free=free)
+        return span
+
+    @cached_property
+    def nodes(self) -> frozenset[Coord]:
+        """The nodes as ``(x, y)`` mega cells."""
+        return frozenset(map(divmod, self.ids, repeat(self.mega_height)))
 
     @cached_property
     def free(self) -> bytes:
@@ -170,6 +210,13 @@ class SpanningGraph(Record):
                 )
             flags[x * height + y] = 1
         return bytes(flags)
+
+    def has_node(self, node: Coord) -> bool:
+        """Whether the mega cell ``node`` is a node, read off the flags."""
+        x, y = node
+        height = self.mega_height
+        return (0 <= x < self.mega_width and 0 <= y < height
+                and self.free[x * height + y] == 1)
 
     @cached_property
     def ids(self) -> list[int]:
@@ -279,21 +326,29 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
 
     Odd dimensions round up; the missing right/bottom cells count as
     occupied, so those border mega cells never become nodes.
+
+    The flags come straight from the occupancy bytes: per mega row, the
+    two unit rows are ORed as integers (each byte is 0 or 1, so no bit
+    carries), then the even and odd columns of that row likewise, and
+    the row's flags go into the column-major layout by one slice.
     """
-    width, cells = grid.width, grid.cells
-    nodes = []
-    for my in range(grid.height // 2):
+    width, height = grid.width, grid.height
+    mega_height = (height + 1) // 2
+    pairs = width // 2  # mega columns whose two unit columns exist
+    cells = bytes(grid.cells)
+    free = bytearray(((width + 1) // 2) * mega_height)
+    for my in range(height // 2):
         top = 2 * my * width
-        bottom = top + width
-        for mx in range(width // 2):
-            x = 2 * mx
-            if not (cells[top + x] or cells[top + x + 1]
-                    or cells[bottom + x] or cells[bottom + x + 1]):
-                nodes.append((mx, my))
-    if not nodes:
+        rows = (int.from_bytes(cells[top:top + width], "big")
+                | int.from_bytes(cells[top + width:top + 2 * width], "big")
+                ).to_bytes(width, "big")
+        blocks = (int.from_bytes(rows[0:2 * pairs:2], "big")
+                  | int.from_bytes(rows[1:2 * pairs:2], "big")
+                  ).to_bytes(pairs, "big")
+        free[my:my + pairs * mega_height:mega_height] = blocks.translate(_NOT)
+    if 1 not in free:
         raise ValueError("map has no fully free mega cell")
-    return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
-                         frozenset(nodes))
+    return SpanningGraph.from_free((width + 1) // 2, mega_height, bytes(free))
 
 
 def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
@@ -316,25 +371,28 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
     word an error.
     """
     for seed in seeds:
-        if seed not in span.nodes:
+        if not span.has_node(seed):
             raise DisconnectedGraphError(f"seed {seed} is not a free mega cell")
-    if not span.nodes:
+    ids = span.ids
+    if not ids:
         return span
     height = span.mega_height
     seed_ids = [x * height + y for x, y in seeds]
     todo = bytearray(span.free)
-    comp = flood_fill(todo, height, seed_ids[0] if seeds else span.ids[0])
-    if len(comp) == len(span.nodes):
+    comp = flood_fill(todo, height, seed_ids[0] if seeds else ids[0])
+    if len(comp) == len(ids):
         return span
     if seeds and not any(todo[i] for i in seed_ids):
-        return SpanningGraph(
-            span.mega_width, height, frozenset(divmod(i, height) for i in comp)
-        )
+        # the fill cleared the component's flags: the rest stay in todo
+        n = len(todo)
+        flags = int.from_bytes(span.free, "big") ^ int.from_bytes(todo, "big")
+        return SpanningGraph.from_free(span.mega_width, height,
+                                       flags.to_bytes(n, "big"))
 
     label = [-1] * len(todo)
     todo = bytearray(span.free)
     count = 0
-    for i in span.ids:
+    for i in ids:
         if todo[i]:
             for j in flood_fill(todo, height, i):
                 label[j] = count

@@ -37,7 +37,7 @@ def build_component(grid: GridMap, starts: list[Coord] | None) -> SpanningGraph:
     span = grid_map.build_spanning_graph(grid)
     seeds = [(x // 2, y // 2) for x, y in starts] if starts else []
     for cell, seed in zip(starts or (), seeds):
-        if seed not in span.nodes:
+        if not span.has_node(seed):
             raise ValueError(
                 f"start {cell} lies in mega cell {seed}, whose 2x2 block "
                 "is not fully free"
@@ -54,7 +54,8 @@ def build_tree(span: SpanningGraph, method: str, seed: int = 0
         bricks = brick_tiling.min_brick_tiling(span)
         return tree_builder.merge_bricks(bricks, span), bricks
     if method == "dfs":
-        return tree_builder.dfs_tree(span, min(span.nodes)), None
+        return tree_builder.dfs_tree(
+            span, divmod(span.ids[0], span.mega_height)), None
     if method == "kruskal":
         return tree_builder.kruskal_tree(span, seed), None
     raise ValueError(f"unknown tree method {method!r}")
@@ -83,14 +84,14 @@ def plan(
             if not grid.is_free(*cell):
                 raise ValueError(f"start {cell} is not a free map cell")
     span = build_component(grid, starts)
-    size = 4 * len(span.nodes)  # the loop visits four unit cells per node
+    size = 4 * len(span.ids)  # the loop visits four unit cells per node
     if k > size:
         raise ValueError(f"{k} robots exceed loop length {size}")
     tree, bricks = build_tree(span, tree_method, seed)
     if starts:
         start_cell = starts[0]
     else:
-        mx, my = min(span.nodes)
+        mx, my = divmod(span.ids[0], span.mega_height)  # the least node
         start_cell = (2 * mx, 2 * my)
     loop = coverage_path.circumnavigate(tree, start_cell, grid.resolution_d)
     if starts:

@@ -12,6 +12,7 @@ import heapq
 import random
 from collections.abc import Iterable
 from functools import cached_property
+from itertools import compress
 
 from .brick_tiling import BrickSet
 from .grid_map import (
@@ -36,18 +37,46 @@ class SpanningTree:
     ``edges`` is derived from it on first use. The three builders below
     write the masks and check the tree they build; :func:`circumnavigate`
     rejects any masks whose walk does not close after exactly 4N steps.
+
+    Like :class:`SpanningGraph`, the tree keeps the view of its nodes it
+    was given, the node set from this constructor or the span's flags
+    ``free`` from :meth:`from_free`, and derives the other on first
+    access.
     """
 
     def __init__(self, nodes: frozenset[Coord], height: int,
                  flat_masks: bytearray):
         self.nodes, self.height, self.flat_masks = nodes, height, flat_masks
 
+    @classmethod
+    def from_free(cls, free: bytes, height: int,
+                  flat_masks: bytearray) -> SpanningTree:
+        """The tree over the nodes flagged 1 in ``free``, laid out as the
+        masks are."""
+        tree = cls.__new__(cls)
+        tree.free, tree.height, tree.flat_masks = free, height, flat_masks
+        return tree
+
+    @cached_property
+    def nodes(self) -> frozenset[Coord]:
+        """The nodes as ``(x, y)`` mega cells."""
+        return SpanningGraph.from_free(
+            len(self.free) // self.height, self.height, self.free).nodes
+
+    @cached_property
+    def free(self) -> bytes:
+        """Flat layout of the nodes: ``free[x * height + y]`` is 1 for a
+        node and 0 elsewhere."""
+        return SpanningGraph(len(self.flat_masks) // self.height, self.height,
+                             self.nodes).free
+
     @cached_property
     def edges(self) -> frozenset[Edge]:
         height, flat = self.height, self.flat_masks
         out = []
-        for x, y in self.nodes:
-            mask = flat[x * height + y]
+        for i in compress(range(len(flat)), flat):
+            x, y = divmod(i, height)
+            mask = flat[i]
             if mask & RIGHT:
                 out.append(((x, y), (x + 1, y)))
             if mask & DOWN:
@@ -119,10 +148,9 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     n = len(free)
     parent = list(range(n))
     masks = bytearray(n)
-    components = len(span.nodes)
+    components = len(span.ids)
 
-    for brick in bricks.bricks:
-        cells = [x * height + y for x, y in brick]
+    for cells in bricks.id_runs(height):
         for a, b in zip(cells, cells[1:]):
             if a > b:
                 a, b = b, a
@@ -178,13 +206,13 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
         raise DisconnectedGraphError(
             "spanning graph is disconnected; cannot merge into one tree"
         )
-    return SpanningTree(span.nodes, height, masks)
+    return SpanningTree.from_free(span.free, height, masks)
 
 
 def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
     """Depth-first tree with fixed neighbor order (right, down, left, up):
     the node on top of the stack links to its first unvisited neighbour."""
-    if root not in span.nodes:
+    if not span.has_node(root):
         raise ValueError(f"root {root} is not a spanning node")
     height = span.mega_height
     todo = bytearray(span.free)
@@ -210,7 +238,7 @@ def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
             stack.pop()
     if any(todo):
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree(span.nodes, height, masks)
+    return SpanningTree.from_free(span.free, height, masks)
 
 
 def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
@@ -234,9 +262,9 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
             parent[ra] = rb
             _link(masks, a, b, height)
             chosen += 1
-    if chosen != len(span.nodes) - 1:
+    if chosen != len(span.ids) - 1:
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree(span.nodes, height, masks)
+    return SpanningTree.from_free(span.free, height, masks)
 
 
 def tree_turns(tree: SpanningTree) -> int:
@@ -246,7 +274,7 @@ def tree_turns(tree: SpanningTree) -> int:
     An isolated single node circumnavigates as a square loop of four
     turns.
     """
-    if len(tree.nodes) == 1:
+    if tree.free.count(1) == 1:
         return 4
     # every node of a larger tree has an edge, so a 0 mask is off the tree
     return sum(TURNS[mask] for mask in tree.flat_masks if mask)

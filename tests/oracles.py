@@ -1,6 +1,7 @@
 """Reference implementations the tests compare the planner against.
 
-Slow and written for clarity on coordinate tuples: exhaustive searches
+Slow and written for clarity on coordinate tuples: the per-block
+discretization and the cell-by-cell flood fill, exhaustive searches
 for small instances, a bottleneck DP over cut positions for the min-max
 partition and for each first cut, the feasibility sweep priced one
 ``LoopCostModel.arc_cost`` call at a time, the segment graph built from
@@ -23,7 +24,8 @@ from typing import NamedTuple
 from turncover.balance import LoopCostModel, RobotStart, arc_cost
 from turncover.brick_tiling import SegmentGraph
 from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
-from turncover.grid_map import Coord, DisconnectedGraphError, SpanningGraph
+from turncover.grid_map import (Coord, DisconnectedGraphError, GridMap,
+                                SpanningGraph)
 from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
                                     turn_count)
 
@@ -42,6 +44,44 @@ def _find(parent: dict[Coord, Coord], node: Coord) -> Coord:
         parent[node] = parent[parent[node]]
         node = parent[node]
     return node
+
+
+def build_spanning_graph(grid: GridMap) -> SpanningGraph:
+    """The spanning graph block by block: a mega cell is a node when its
+    four unit cells are free; odd dimensions round up."""
+    width, cells = grid.width, grid.cells
+    nodes = []
+    for my in range(grid.height // 2):
+        top = 2 * my * width
+        bottom = top + width
+        for mx in range(width // 2):
+            x = 2 * mx
+            if not (cells[top + x] or cells[top + x + 1]
+                    or cells[bottom + x] or cells[bottom + x + 1]):
+                nodes.append((mx, my))
+    if not nodes:
+        raise ValueError("map has no fully free mega cell")
+    return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
+                         frozenset(nodes))
+
+
+def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
+    """Ids 4-connected to ``root`` through the ids flagged in ``todo``,
+    one id at a time; clears their flags as it goes."""
+    n = len(todo)
+    todo[root] = 0
+    reached = [root]
+    for i in reached:  # grows while it is read
+        y = i % height
+        # a neighbour off the grid reads the root, whose flag is clear
+        for j in (i + height if i + height < n else root,
+                  i + 1 if y + 1 < height else root,
+                  i - height if i >= height else root,
+                  i - 1 if y else root):
+            if todo[j]:
+                todo[j] = 0
+                reached.append(j)
+    return reached
 
 
 def brute_force_partition(

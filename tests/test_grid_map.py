@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from turncover import bench, pipeline
 from turncover.grid_map import (
@@ -12,9 +14,11 @@ from turncover.grid_map import (
     build_spanning_graph,
     connected_component,
     coverage_nodes_of,
+    flood_fill,
     parse_map,
 )
 
+import oracles
 from conftest import random_connected_span, span_edges
 
 MOVINGAI_4X4 = "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n"
@@ -143,6 +147,75 @@ class TestBuildSpanningGraph:
                 assert span.nodes == expected
                 assert (span.mega_width, span.mega_height) == (
                     (w + 1) // 2, (h + 1) // 2)
+
+
+@st.composite
+def occupancies(draw):
+    """Maps up to 13x13, odd and one-wide ones included, with a drawn
+    share of occupied unit cells."""
+    width, height = draw(st.integers(1, 13)), draw(st.integers(1, 13))
+    ratio = draw(st.sampled_from((0.0, 0.05, 0.15, 0.4, 1.0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return GridMap(width, height,
+                   tuple(rnd.random() < ratio for _ in range(width * height)))
+
+
+class TestDiscretizationOracle:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(occupancies())
+    def test_matches_per_block_loop(self, grid):
+        try:
+            expected = oracles.build_spanning_graph(grid)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                build_spanning_graph(grid)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return
+        span = build_spanning_graph(grid)
+        assert (span.mega_width, span.mega_height) == (
+            expected.mega_width, expected.mega_height)
+        assert span.free == expected.free
+        assert span.ids == expected.ids
+        assert span.nodes == expected.nodes
+
+
+@st.composite
+def flag_arrays(draw):
+    """``(flags, height, root)``: random flags, checkerboards (with a few
+    flipped cells), a single row or a single column; ``root`` is
+    flagged."""
+    shape = draw(st.sampled_from(("random", "checkerboard", "row", "column")))
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if shape == "row":
+        height = 1
+    elif shape == "column":
+        width = 1
+    n = width * height
+    if shape == "checkerboard":
+        parity = draw(st.integers(0, 1))
+        flags = bytearray((x + y + parity) % 2 == 0
+                          for x in range(width) for y in range(height))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            flags[i] ^= 1
+    else:
+        flags = bytearray(draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+    root = draw(st.integers(0, n - 1))
+    flags[root] = 1
+    return flags, height, root
+
+
+class TestFloodFillOracle:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(flag_arrays())
+    def test_run_fill_matches_cell_fill(self, case):
+        flags, height, root = case
+        todo, expected_todo = bytearray(flags), bytearray(flags)
+        reached = flood_fill(todo, height, root)
+        expected = oracles.flood_fill(expected_todo, height, root)
+        assert len(reached) == len(set(reached))
+        assert set(reached) == set(expected)
+        assert todo == expected_todo
 
 
 def two_region_span():

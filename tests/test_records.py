@@ -1,16 +1,20 @@
 """Value semantics of the immutable records: construction, defaults,
-checks, field-wise equality and hashing, repr, immutability and the
-cached derived arrays."""
+checks, field-wise equality and hashing, repr, immutability, the
+cached derived arrays and the coordinate views that a plan leaves
+unbuilt."""
 
 import math
 
 import pytest
 
+from turncover import bench, cli, grid_map, pipeline
 from turncover.balance import CoveragePlan, RobotAssignment, RobotStart
 from turncover.bench import RunReport, Scenario
-from turncover.brick_tiling import BrickSet, SegmentGraph, build_segment_graph
+from turncover.brick_tiling import (BrickSet, SegmentGraph, build_segment_graph,
+                                    min_brick_tiling)
 from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
-from turncover.grid_map import GridMap, MapFormatError, SpanningGraph
+from turncover.grid_map import (GridMap, MapFormatError, SpanningGraph,
+                                build_spanning_graph)
 from turncover.pipeline import PlanResult
 from turncover.tree_builder import SpanningTree
 
@@ -187,3 +191,91 @@ class TestCachedArrays:
         edges = graph.edges
         assert graph.edges is edges
         assert edges == ((0, 1), (0, 2), (3, 1), (3, 2))
+
+
+class TestLazyViews:
+    """Records built from flat ids derive their coordinate fields on
+    first access and then behave as records built from coordinates."""
+
+    @pytest.mark.parametrize("size", [(9, 7), (20, 20)])
+    def test_discretized_graph_is_its_node_set(self, size):
+        grid = bench.generate_random_map(size, 0.2, 3)
+        odd = GridMap(grid.width + 1, grid.height + 1, tuple(
+            x == grid.width or y == grid.height or grid.is_occupied(x, y)
+            for y in range(grid.height + 1) for x in range(grid.width + 1)))
+        for source in (grid, odd):
+            graph = build_spanning_graph(source)
+            text, key = repr(graph), hash(graph)
+            twin = SpanningGraph(graph.mega_width, graph.mega_height,
+                                 graph.nodes)
+            assert graph == twin and twin == graph
+            assert key == hash(twin) and text == repr(twin)
+            assert twin.free == graph.free and twin.ids == graph.ids
+
+    def test_tiling_is_its_coordinate_bricks(self):
+        span = pipeline.build_component(
+            bench.generate_random_map((9, 7), 0.2, 3), None)
+        bricks = min_brick_tiling(span)
+        count, text, key = len(bricks), repr(bricks), hash(bricks)
+        twin = BrickSet(bricks.bricks)
+        assert bricks == twin and twin == bricks
+        assert key == hash(twin) and text == repr(twin)
+        assert count == len(twin)
+        height = span.mega_height
+        for h in (height, height + 1):  # another height converts
+            assert list(map(list, bricks.id_runs(h))) == twin.id_runs(h)
+
+
+def _built_views(recorded):
+    """The coordinate views built on the recorded spans, brick sets and
+    trees: the names found in their ``__dict__``."""
+    built = []
+    for obj in recorded:
+        name = "bricks" if isinstance(obj, BrickSet) else "nodes"
+        if name in obj.__dict__:
+            built.append(f"{type(obj).__name__}.{name}")
+    return built
+
+
+def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
+    """Every plan path runs on node ids: no span, brick set or tree it
+    makes has built its coordinate tuples when the run returns."""
+    recorded = []
+
+    def record(module, name, pick):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            recorded.extend(pick(out))
+            return out
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(grid_map, "build_spanning_graph", lambda span: [span])
+    record(grid_map, "connected_component", lambda span: [span])
+    record(pipeline, "build_tree",
+           lambda out: [x for x in out if x is not None])
+    record(pipeline, "plan",
+           lambda r: [x for x in (r.span, r.bricks, r.tree) if x is not None])
+
+    grid = bench.generate_random_map((12, 10), 0.15, 4)
+    free = [(x, y) for y in range(grid.height) for x in range(grid.width)
+            if grid.is_free(x, y)]
+    starts = [free[0], free[len(free) // 3], free[len(free) // 2], free[-1]]
+    map_path = tmp_path / "map.grid"
+    map_path.write_text("".join(
+        "".join("1" if grid.is_occupied(x, y) else "0"
+                for x in range(grid.width)) + "\n"
+        for y in range(grid.height)))
+    runs = [lambda: pipeline.plan(grid, 1),
+            lambda: pipeline.plan(grid, 4),
+            lambda: pipeline.plan(grid, 1, starts[:1]),
+            lambda: pipeline.plan(grid, 4, starts),
+            lambda: bench.run_scenario(
+                bench.Scenario("s", grid, 2, tuple(starts[:2]))),
+            lambda: cli.main(["plan", "--map", str(map_path), "--robots", "2",
+                              "--out", str(tmp_path / "plan.txt")])]
+    for run in runs:
+        recorded.clear()
+        run()
+        assert recorded and not _built_views(recorded)

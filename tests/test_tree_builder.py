@@ -149,6 +149,8 @@ class TestMergeBricks:
         for span in spans:
             bricks = min_brick_tiling(span)
             masks = merge_bricks(bricks, span).flat_masks
+            # the tiling's id runs and the same bricks built by hand
+            assert merge_bricks(BrickSet(bricks.bricks), span).flat_masks == masks
             reversed_all = [brick[::-1] for brick in bricks.bricks]
             some = [brick[::rng.choice((1, -1))] for brick in bricks.bricks]
             for shuffled in (reversed_all, some):
@@ -176,6 +178,17 @@ class TestMergeBricks:
         bricks = min_brick_tiling(span)
         tree = merge_bricks(bricks, span)
         assert tree.edges == _reference_merge(bricks, span)
+
+    def test_builders_derive_the_span_nodes(self, rng):
+        spans = [random_connected_span(rng, max_dim=8, max_cells=40)
+                 for _ in range(10)]
+        for span in spans:
+            root = min(span.nodes)
+            for tree in (merge_bricks(min_brick_tiling(span), span),
+                         dfs_tree(span, root), kruskal_tree(span, 0)):
+                assert "nodes" not in tree.__dict__
+                assert tree.nodes == span.nodes
+                assert tree.free is span.free
 
     def test_flat_tree_equals_public_tree(self, rng):
         spans = [random_connected_span(rng, max_dim=8, max_cells=40)
