@@ -82,40 +82,25 @@ class SegmentGraph(Record):
 class BrickSet(Record):
     """Disjoint straight bricks covering every node of the spanning graph.
 
-    A tiling keeps each brick as a ``range`` of node ids (see
-    :meth:`from_runs`); ``bricks`` is then a coordinate view derived on
-    first access."""
+    Each brick is a run of node ids ``x * height + y``; a tiling keeps
+    it as a ``range`` and emits the bricks in row-major order of their
+    top-left cells. ``bricks`` is the coordinate view, derived on first
+    access."""
 
-    bricks: tuple[tuple[Coord, ...], ...]
-    _runs = None  # class defaults, not annotated, so not fields
-    _height = 0
+    runs: tuple[Sequence[int], ...]
+    height: int
 
-    def __init__(self, bricks: tuple[tuple[Coord, ...], ...]) -> None:
-        self.__dict__["bricks"] = bricks
-
-    @classmethod
-    def from_runs(cls, runs: tuple[range, ...], height: int) -> BrickSet:
-        """Bricks given as runs of node ids ``x * height + y``."""
-        out = cls.__new__(cls)
-        out.__dict__.update(_runs=runs, _height=height)
-        return out
+    def __init__(self, runs: tuple[Sequence[int], ...], height: int) -> None:
+        self.__dict__.update(runs=runs, height=height)
 
     @cached_property
     def bricks(self) -> tuple[tuple[Coord, ...], ...]:
-        height = self._height
+        height = self.height
         return tuple([tuple(map(divmod, run, repeat(height)))
-                      for run in self._runs])
-
-    def id_runs(self, height: int) -> Sequence[Sequence[int]]:
-        """Each brick's cells as node ids ``x * height + y``, in brick
-        order; converted from the coordinates only for bricks built by
-        hand."""
-        if self._runs is not None and self._height == height:
-            return self._runs
-        return [[x * height + y for x, y in brick] for brick in self.bricks]
+                      for run in self.runs])
 
     def __len__(self) -> int:
-        return len(self.bricks if self._runs is None else self._runs)
+        return len(self.runs)
 
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
@@ -289,7 +274,7 @@ def tiling_from_independent_set(
     s, t, r = len(span.ids), len(keep), len(runs)
     if r != s - t:
         raise ValueError(f"tiling identity violated: R={r} S={s} T={t}")
-    return BrickSet.from_runs(tuple(runs), height)
+    return BrickSet(tuple(runs), height)
 
 
 def min_brick_tiling(span: SpanningGraph) -> BrickSet:
@@ -302,21 +287,14 @@ def min_brick_tiling(span: SpanningGraph) -> BrickSet:
 
 
 def tiling_to_text(span: SpanningGraph, bricks: BrickSet) -> str:
-    """Debug grid with one brick id per cell; ids follow row-major order
-    of brick top-left cells, '.' marks occupied mega cells."""
-    ordered = sorted(
-        bricks.bricks, key=lambda b: (min(c[1] for c in b), min(c[0] for c in b))
-    )
-    ids: dict[Coord, int] = {}
-    for i, brick in enumerate(ordered):
-        for cell in brick:
-            ids[cell] = i
-    width = max(2, len(str(max(len(ordered) - 1, 0))))
-    rows = []
-    for y in range(span.mega_height):
-        row = []
-        for x in range(span.mega_width):
-            row.append(str(ids[(x, y)]).rjust(width) if (x, y) in ids
-                       else ".".rjust(width))
-        rows.append(" ".join(row))
-    return "\n".join(rows) + "\n"
+    """Debug grid with one brick id per cell, '.' for the mega cells of
+    no brick; ids follow brick order, which for a tiling is row-major
+    order of brick top-left cells."""
+    height = span.mega_height
+    labels = ["."] * len(span.free)
+    for i, run in enumerate(bricks.runs):
+        for j in run:
+            labels[j] = str(i)
+    width = max(2, len(str(max(len(bricks) - 1, 0))))
+    return "".join(" ".join(label.rjust(width) for label in labels[y::height])
+                   + "\n" for y in range(height))

@@ -119,13 +119,13 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     heading. The run starts are the loop's turns, which the loop keeps
     as :attr:`CoverageLoop.turns`.
     """
-    height, masks = tree.height, tree.flat_masks
-    rows, cols = 2 * height, 2 * (len(masks) // height)
+    span, masks = tree.span, tree.flat_masks
+    height = span.mega_height
+    rows, cols = 2 * height, 2 * span.mega_width
     sx, sy = start
-    if not (0 <= sx < cols and 0 <= sy < rows
-            and tree.free[(sx >> 1) * height + (sy >> 1)] == 1):
+    if not span.has_node((sx >> 1, sy >> 1)):
         raise ValueError(f"start {start} lies outside the tree's mega cells")
-    n = 4 * tree.free.count(1)
+    n = 4 * span.free.count(1)
     moves = bytearray(rows * cols)  # column-major: x * rows + y
     for mx in range(cols // 2):
         column = masks[mx * height:(mx + 1) * height]

@@ -89,10 +89,9 @@ class Record:
     between records of one class, and ``repr`` lists them. Assignment and
     deletion raise ``AttributeError``; each ``__init__`` sets the fields
     through ``__dict__``, as :func:`functools.cached_property` sets its
-    values. The fields are read through ``getattr``, so a field may be a
-    cached property that a record derives on first access. Plain classes
-    instead of frozen dataclasses, because ``import dataclasses`` and
-    generating the methods cost far more than planning a small map."""
+    values, and they are read from there. Plain classes instead of
+    frozen dataclasses, because ``import dataclasses`` and generating
+    the methods cost far more than planning a small map."""
 
     _fields: tuple[str, ...] = ()
 
@@ -101,7 +100,8 @@ class Record:
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        values = self.__dict__
+        return tuple([values[name] for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -168,48 +168,23 @@ class GridMap(Record):
 class SpanningGraph(Record):
     """Grid graph of free mega cells with 4-adjacency; edge length is 2d.
 
-    The graph keeps the view it was built from: the node set from this
-    constructor, or the flat flags from :meth:`from_free`, which is how
-    :func:`build_spanning_graph` builds it. The other view is derived on
-    first access, so a planned map never builds its coordinate tuples."""
+    The graph is its flags: ``free[x * mega_height + y]`` is 1 for a node
+    and 0 elsewhere. The node set is derived from them on first access,
+    so a planned map never builds its coordinate tuples."""
 
     mega_width: int
     mega_height: int
-    nodes: frozenset[Coord]
+    free: bytes
 
     def __init__(self, mega_width: int, mega_height: int,
-                 nodes: frozenset[Coord]) -> None:
+                 free: bytes) -> None:
         self.__dict__.update(mega_width=mega_width, mega_height=mega_height,
-                             nodes=nodes)
-
-    @classmethod
-    def from_free(cls, mega_width: int, mega_height: int,
-                  free: bytes) -> SpanningGraph:
-        """The graph of the nodes flagged 1 in ``free``, laid out as
-        :attr:`free` is."""
-        span = cls.__new__(cls)
-        span.__dict__.update(mega_width=mega_width, mega_height=mega_height,
                              free=free)
-        return span
 
     @cached_property
     def nodes(self) -> frozenset[Coord]:
         """The nodes as ``(x, y)`` mega cells."""
         return frozenset(map(divmod, self.ids, repeat(self.mega_height)))
-
-    @cached_property
-    def free(self) -> bytes:
-        """Flat layout of the nodes: ``free[x * mega_height + y]`` is 1
-        for a node and 0 elsewhere."""
-        width, height = self.mega_width, self.mega_height
-        flags = bytearray(width * height)
-        for x, y in self.nodes:
-            if not (0 <= x < width and 0 <= y < height):
-                raise ValueError(
-                    f"node {(x, y)} lies outside the {width}x{height} grid"
-                )
-            flags[x * height + y] = 1
-        return bytes(flags)
 
     def has_node(self, node: Coord) -> bool:
         """Whether the mega cell ``node`` is a node, read off the flags."""
@@ -348,7 +323,7 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
         free[my:my + pairs * mega_height:mega_height] = blocks.translate(_NOT)
     if 1 not in free:
         raise ValueError("map has no fully free mega cell")
-    return SpanningGraph.from_free((width + 1) // 2, mega_height, bytes(free))
+    return SpanningGraph((width + 1) // 2, mega_height, bytes(free))
 
 
 def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
@@ -386,8 +361,7 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
         # the fill cleared the component's flags: the rest stay in todo
         n = len(todo)
         flags = int.from_bytes(span.free, "big") ^ int.from_bytes(todo, "big")
-        return SpanningGraph.from_free(span.mega_width, height,
-                                       flags.to_bytes(n, "big"))
+        return SpanningGraph(span.mega_width, height, flags.to_bytes(n, "big"))
 
     label = [-1] * len(todo)
     todo = bytearray(span.free)

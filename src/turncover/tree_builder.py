@@ -29,50 +29,28 @@ RIGHT, DOWN, LEFT, UP = 1, 2, 4, 8
 
 
 class SpanningTree:
-    """Undirected tree over spanning-graph nodes.
+    """Undirected tree over the nodes of the spanning graph ``span``.
 
-    ``flat_masks`` holds, by node id ``x * height + y`` (0 at ids off the
-    tree), the bits (``RIGHT``, ``DOWN``, ``LEFT``, ``UP``) of the tree
-    edges that leave each node; the walk and the turn count read it, and
-    ``edges`` is derived from it on first use. The three builders below
-    write the masks and check the tree they build; :func:`circumnavigate`
-    rejects any masks whose walk does not close after exactly 4N steps.
-
-    Like :class:`SpanningGraph`, the tree keeps the view of its nodes it
-    was given, the node set from this constructor or the span's flags
-    ``free`` from :meth:`from_free`, and derives the other on first
-    access.
+    ``flat_masks`` holds, by node id ``x * span.mega_height + y`` (0 at
+    ids off the tree), the bits (``RIGHT``, ``DOWN``, ``LEFT``, ``UP``)
+    of the tree edges that leave each node; the walk and the turn count
+    read it, and ``edges`` is derived from it on first use. The three
+    builders below write the masks and check the tree they build;
+    :func:`circumnavigate` rejects any masks whose walk does not close
+    after exactly 4N steps.
     """
 
-    def __init__(self, nodes: frozenset[Coord], height: int,
-                 flat_masks: bytearray):
-        self.nodes, self.height, self.flat_masks = nodes, height, flat_masks
+    def __init__(self, span: SpanningGraph, flat_masks: bytearray):
+        self.span, self.flat_masks = span, flat_masks
 
-    @classmethod
-    def from_free(cls, free: bytes, height: int,
-                  flat_masks: bytearray) -> SpanningTree:
-        """The tree over the nodes flagged 1 in ``free``, laid out as the
-        masks are."""
-        tree = cls.__new__(cls)
-        tree.free, tree.height, tree.flat_masks = free, height, flat_masks
-        return tree
-
-    @cached_property
+    @property
     def nodes(self) -> frozenset[Coord]:
-        """The nodes as ``(x, y)`` mega cells."""
-        return SpanningGraph.from_free(
-            len(self.free) // self.height, self.height, self.free).nodes
-
-    @cached_property
-    def free(self) -> bytes:
-        """Flat layout of the nodes: ``free[x * height + y]`` is 1 for a
-        node and 0 elsewhere."""
-        return SpanningGraph(len(self.flat_masks) // self.height, self.height,
-                             self.nodes).free
+        """The span's nodes as ``(x, y)`` mega cells."""
+        return self.span.nodes
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        height, flat = self.height, self.flat_masks
+        height, flat = self.span.mega_height, self.flat_masks
         out = []
         for i in compress(range(len(flat)), flat):
             x, y = divmod(i, height)
@@ -150,7 +128,10 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     masks = bytearray(n)
     components = len(span.ids)
 
-    for cells in bricks.id_runs(height):
+    if bricks.height != height:
+        raise ValueError(f"bricks of height {bricks.height} do not lay out "
+                         f"on a span of height {height}")
+    for cells in bricks.runs:
         for a, b in zip(cells, cells[1:]):
             if a > b:
                 a, b = b, a
@@ -206,7 +187,7 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
         raise DisconnectedGraphError(
             "spanning graph is disconnected; cannot merge into one tree"
         )
-    return SpanningTree.from_free(span.free, height, masks)
+    return SpanningTree(span, masks)
 
 
 def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
@@ -238,7 +219,7 @@ def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
             stack.pop()
     if any(todo):
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree.from_free(span.free, height, masks)
+    return SpanningTree(span, masks)
 
 
 def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
@@ -264,7 +245,7 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
             chosen += 1
     if chosen != len(span.ids) - 1:
         raise DisconnectedGraphError("spanning graph is disconnected")
-    return SpanningTree.from_free(span.free, height, masks)
+    return SpanningTree(span, masks)
 
 
 def tree_turns(tree: SpanningTree) -> int:
@@ -274,7 +255,7 @@ def tree_turns(tree: SpanningTree) -> int:
     An isolated single node circumnavigates as a square loop of four
     turns.
     """
-    if tree.free.count(1) == 1:
+    if tree.span.free.count(1) == 1:
         return 4
     # every node of a larger tree has an edge, so a 0 mask is off the tree
     return sum(TURNS[mask] for mask in tree.flat_masks if mask)

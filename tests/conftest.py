@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from turncover.brick_tiling import BrickSet
 from turncover.grid_map import SpanningGraph
 from turncover.tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
 
@@ -22,29 +23,45 @@ def span_edges(span: SpanningGraph) -> list[Edge]:
     return out
 
 
+def span_of(width, height, nodes) -> SpanningGraph:
+    """The spanning graph of the ``(x, y)`` mega cells ``nodes`` on a
+    ``width`` x ``height`` grid."""
+    free = bytearray(width * height)
+    for x, y in nodes:
+        assert 0 <= x < width and 0 <= y < height, (
+            f"node {(x, y)} lies outside the {width}x{height} grid")
+        free[x * height + y] = 1
+    return SpanningGraph(width, height, bytes(free))
+
+
+def bricks_of(bricks, height) -> BrickSet:
+    """The brick set of ``(x, y)`` bricks, each cell kept as its node id
+    ``x * height + y`` in the brick's order."""
+    return BrickSet(tuple(tuple(x * height + y for x, y in brick)
+                          for brick in bricks), height)
+
+
 def make_tree(nodes, edges) -> SpanningTree:
     """A tree from coordinate edges between unit-step neighbours, laid
     out on the smallest grid holding its nodes."""
     nodes = frozenset(nodes)
     height = 1 + max(y for _, y in nodes)
-    masks = bytearray(height * (1 + max(x for x, _ in nodes)))
+    width = 1 + max(x for x, _ in nodes)
+    masks = bytearray(width * height)
     for a, b in edges:
         (ax, ay), (bx, by) = normalize_edge(a, b)
         assert (bx - ax) + (by - ay) == 1 and ax <= bx and ay <= by
         right = bx > ax
         masks[ax * height + ay] |= RIGHT if right else DOWN
         masks[bx * height + by] |= LEFT if right else UP
-    return SpanningTree(nodes, height, masks)
+    return SpanningTree(span_of(width, height, nodes), masks)
 
 
 def make_span(width, height, obstacles=()):
-    nodes = frozenset(
-        (x, y)
-        for x in range(width)
-        for y in range(height)
-        if (x, y) not in set(obstacles)
-    )
-    return SpanningGraph(width, height, nodes)
+    blocked = set(obstacles)
+    return span_of(width, height, [(x, y) for x in range(width)
+                                   for y in range(height)
+                                   if (x, y) not in blocked])
 
 
 def random_connected_span(rng: random.Random, max_dim=5, max_cells=16):
@@ -71,7 +88,7 @@ def random_connected_span(rng: random.Random, max_dim=5, max_cells=16):
         new = rng.choice(options)
         cells.add(new)
         frontier.add(new)
-    return SpanningGraph(w, h, frozenset(cells))
+    return span_of(w, h, cells)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from turncover.grid_map import (Coord, DisconnectedGraphError, GridMap,
 from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
                                     turn_count)
 
-from conftest import Edge, normalize_edge, span_edges
+from conftest import Edge, normalize_edge, span_edges, span_of
 
 
 def _neighbors(span: SpanningGraph, node: Coord) -> tuple[Coord, ...]:
@@ -61,8 +61,7 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
                 nodes.append((mx, my))
     if not nodes:
         raise ValueError("map has no fully free mega cell")
-    return SpanningGraph((width + 1) // 2, (grid.height + 1) // 2,
-                         frozenset(nodes))
+    return span_of((width + 1) // 2, (grid.height + 1) // 2, nodes)
 
 
 def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
@@ -416,7 +415,7 @@ def quadrant_walk(tree: SpanningTree, start: Coord,
     return to ``start`` after exactly 4N steps; a step off the grid of
     the tree's masks also fails it.
     """
-    height, masks = tree.height, tree.flat_masks
+    height, masks = tree.span.mega_height, tree.flat_masks
     rows, cols = 2 * height, 2 * (len(masks) // height)
     sx, sy = start
     if not (0 <= sx < cols and 0 <= sy < rows

@@ -25,7 +25,8 @@ from turncover.tree_builder import (
     tree_turns,
 )
 
-from conftest import make_span, make_tree, normalize_edge, random_connected_span
+from conftest import (make_span, make_tree, normalize_edge,
+                      random_connected_span, span_of)
 from oracles import loop_turn_count, quadrant_walk
 
 PARAMS = RobotParams()
@@ -220,7 +221,7 @@ class TestWalkOracle:
         masks = bytearray(data.draw(st.lists(
             st.integers(0, 15), min_size=width * height,
             max_size=width * height)))
-        tree = SpanningTree(frozenset(nodes), height, masks)
+        tree = SpanningTree(span_of(width, height, nodes), masks)
         for mx, my in sorted(nodes):
             for start in ((2 * mx, 2 * my), (2 * mx + 1, 2 * my),
                           (2 * mx, 2 * my + 1), (2 * mx + 1, 2 * my + 1)):

@@ -10,7 +10,6 @@ from turncover.grid_map import (
     DisconnectedGraphError,
     GridMap,
     MapFormatError,
-    SpanningGraph,
     build_spanning_graph,
     connected_component,
     coverage_nodes_of,
@@ -19,7 +18,7 @@ from turncover.grid_map import (
 )
 
 import oracles
-from conftest import random_connected_span, span_edges
+from conftest import random_connected_span, span_edges, span_of
 
 MOVINGAI_4X4 = "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n"
 
@@ -220,8 +219,7 @@ class TestFloodFillOracle:
 
 def two_region_span():
     # regions {(0,0)} and {(2,0),(3,0)} separated by an occupied column
-    nodes = frozenset({(0, 0), (2, 0), (3, 0)})
-    return SpanningGraph(4, 1, nodes)
+    return span_of(4, 1, {(0, 0), (2, 0), (3, 0)})
 
 
 class TestConnectedComponent:
@@ -246,7 +244,7 @@ class TestConnectedComponent:
             connected_component(two_region_span(), [(1, 0)])
 
     def test_empty_graph_is_its_own_component(self):
-        span = SpanningGraph(2, 2, frozenset())
+        span = span_of(2, 2, ())
         assert connected_component(span, []) == span
 
     def test_coverage_nodes_of_component(self):
@@ -367,9 +365,3 @@ class TestFlatLayout:
             assert span.ids == [x * h + y for x, y in sorted(span.nodes)]
             assert sum(span.free) == len(span.nodes)
             assert len(span.free) == span.mega_width * h
-
-    def test_node_outside_the_grid_rejected(self):
-        for node in ((0, 2), (3, 0), (-1, 0)):
-            span = SpanningGraph(3, 2, frozenset({(0, 0), node}))
-            with pytest.raises(ValueError, match="outside the 3x2 grid"):
-                span.free

@@ -18,9 +18,12 @@ from turncover.grid_map import (GridMap, MapFormatError, SpanningGraph,
 from turncover.pipeline import PlanResult
 from turncover.tree_builder import SpanningTree
 
+import oracles
+from conftest import bricks_of, span_of
+
 LOOP = ((0, 0), (0, 1), (1, 1), (1, 0))
 # trees compare by identity, so both calls of _cases share this one
-TREE = SpanningTree(frozenset({(0, 0)}), 1, bytearray(1))
+TREE = SpanningTree(span_of(1, 1, {(0, 0)}), bytearray(1))
 
 
 def _cases():
@@ -28,19 +31,19 @@ def _cases():
     afresh on each call so that two calls give equal, not identical,
     values."""
     grid = GridMap(2, 2, (False, True, False, False), 0.25)
-    span = SpanningGraph(2, 2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+    span = span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)})
     twists = TwistSet((0, 1, 3), ((0, 0), (0, 1), (1, 0)))
     robot = RobotAssignment(0, 1, 1, 3, LOOP[1:], twists, 2.5)
     plan = CoveragePlan((robot,))
     return [
         (GridMap, ("width", "height", "cells", "resolution_d"),
          (2, 2, (False, True, False, False), 0.25)),
-        (SpanningGraph, ("mega_width", "mega_height", "nodes"),
-         (3, 1, frozenset({(0, 0), (2, 0)}))),
+        (SpanningGraph, ("mega_width", "mega_height", "free"),
+         (3, 1, b"\1\0\1")),
         (SegmentGraph,
          ("first_cell", "vertical", "horizontal_ids", "adjacency"),
          ([0, 0, 1, 2], b"\0\1\1\0", [0, 3], [(1, 2), (), (), ()])),
-        (BrickSet, ("bricks",), ((((0, 0), (1, 0)), ((0, 1),)),)),
+        (BrickSet, ("runs", "height"), ((range(0, 3, 2), range(1, 2)), 2)),
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
         (CoverageLoop, ("nodes", "resolution_d"), (LOOP, 0.25)),
         (TwistSet, ("indices", "points"),
@@ -52,7 +55,8 @@ def _cases():
          (0, 1, 1, 3, LOOP[1:], twists, 2.5)),
         (CoveragePlan, ("robots",), ((robot,),)),
         (PlanResult, ("span", "bricks", "tree", "loop", "plan", "tree_turns"),
-         (span, BrickSet((((0, 0),),)), TREE, CoverageLoop(LOOP), plan, 4)),
+         (span, BrickSet((range(0, 1),), 2), TREE, CoverageLoop(LOOP), plan,
+          4)),
         (Scenario,
          ("name", "grid", "k", "starts", "params", "tree_method", "seed"),
          ("s", grid, 2, ((0, 0), (0, 2)), RobotParams(1.0), "dfs", 5)),
@@ -71,7 +75,7 @@ CHANGED = {
     GridMap: ("resolution_d", 0.5),
     SpanningGraph: ("mega_width", 4),
     SegmentGraph: ("horizontal_ids", [0]),
-    BrickSet: ("bricks", ()),
+    BrickSet: ("height", 3),
     RobotParams: ("omega", 0.5),
     CoverageLoop: ("resolution_d", 0.5),
     TwistSet: ("indices", (0, 2, 3)),
@@ -176,9 +180,9 @@ class TestChecks:
 
 class TestCachedArrays:
     def test_spanning_graph(self):
-        span = SpanningGraph(2, 2, frozenset({(0, 0), (1, 0), (0, 1)}))
-        twin = SpanningGraph(2, 2, frozenset({(0, 0), (1, 0), (0, 1)}))
-        for name in ("free", "ids", "borders"):
+        span = span_of(2, 2, {(0, 0), (1, 0), (0, 1)})
+        twin = span_of(2, 2, {(0, 0), (1, 0), (0, 1)})
+        for name in ("nodes", "ids", "borders"):
             first = getattr(span, name)
             assert getattr(span, name) is first
         assert span.free == b"\1\1\1\0" and span.ids == [0, 1, 2]
@@ -187,15 +191,15 @@ class TestCachedArrays:
 
     def test_segment_graph_edges(self):
         graph = build_segment_graph(
-            SpanningGraph(2, 2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})))
+            span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)}))
         edges = graph.edges
         assert graph.edges is edges
         assert edges == ((0, 1), (0, 2), (3, 1), (3, 2))
 
 
 class TestLazyViews:
-    """Records built from flat ids derive their coordinate fields on
-    first access and then behave as records built from coordinates."""
+    """A graph is its flags and a brick set its id runs; their coordinate
+    views, derived on first access, equal the coordinate oracles."""
 
     @pytest.mark.parametrize("size", [(9, 7), (20, 20)])
     def test_discretized_graph_is_its_node_set(self, size):
@@ -205,30 +209,31 @@ class TestLazyViews:
             for y in range(grid.height + 1) for x in range(grid.width + 1)))
         for source in (grid, odd):
             graph = build_spanning_graph(source)
-            text, key = repr(graph), hash(graph)
-            twin = SpanningGraph(graph.mega_width, graph.mega_height,
-                                 graph.nodes)
-            assert graph == twin and twin == graph
-            assert key == hash(twin) and text == repr(twin)
-            assert twin.free == graph.free and twin.ids == graph.ids
+            oracle = oracles.build_spanning_graph(source)
+            assert graph == oracle and hash(graph) == hash(oracle)
+            assert repr(graph) == repr(oracle)
+            width, height = graph.mega_width, graph.mega_height
+            assert graph.nodes == oracle.nodes == {
+                (x, y) for x in range(width) for y in range(height)
+                if graph.free[x * height + y]}
 
     def test_tiling_is_its_coordinate_bricks(self):
         span = pipeline.build_component(
             bench.generate_random_map((9, 7), 0.2, 3), None)
         bricks = min_brick_tiling(span)
-        count, text, key = len(bricks), repr(bricks), hash(bricks)
-        twin = BrickSet(bricks.bricks)
-        assert bricks == twin and twin == bricks
-        assert key == hash(twin) and text == repr(twin)
-        assert count == len(twin)
         height = span.mega_height
-        for h in (height, height + 1):  # another height converts
-            assert list(map(list, bricks.id_runs(h))) == twin.id_runs(h)
+        assert bricks.height == height
+        twin = bricks_of(bricks.bricks, height)
+        assert twin.runs == tuple(map(tuple, bricks.runs))
+        assert twin.bricks == bricks.bricks and len(twin) == len(bricks)
+        for run, brick in zip(bricks.runs, bricks.bricks):
+            assert brick == tuple((i // height, i % height) for i in run)
 
 
 def _built_views(recorded):
     """The coordinate views built on the recorded spans, brick sets and
-    trees: the names found in their ``__dict__``."""
+    trees: the names found in their ``__dict__``. A tree's ``nodes`` are
+    its span's."""
     built = []
     for obj in recorded:
         name = "bricks" if isinstance(obj, BrickSet) else "nodes"
@@ -279,3 +284,18 @@ def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
         recorded.clear()
         run()
         assert recorded and not _built_views(recorded)
+
+
+def test_comparing_and_hashing_plans_builds_no_coordinate_views():
+    """Equality, hashing and ``repr`` read the flags and the id runs, so
+    they build no coordinate view of the spans or the tilings."""
+    grid = bench.generate_random_map((12, 10), 0.15, 4)
+    first, second = pipeline.plan(grid, 2), pipeline.plan(grid, 2)
+    assert first.span == second.span and first.bricks == second.bricks
+    assert hash(first.span) == hash(second.span)
+    assert hash(first.bricks) == hash(second.bricks)
+    assert first != second  # the trees compare by identity
+    for result in (first, second):
+        hash(result), repr(result)
+    assert not _built_views([first.span, second.span, first.bricks,
+                             second.bricks, first.tree, second.tree])

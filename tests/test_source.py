@@ -39,6 +39,18 @@ def test_no_function_calls_itself():
     assert {name: calls for name, calls in offenders.items() if calls} == {}
 
 
+def test_no_record_is_built_around_its_init():
+    # each record has one constructor: nothing calls ``__new__``
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"]
+    assert offenders == []
+
+
 def test_src_imports_stdlib_only():
     # the runtime needs nothing beyond the standard library; relative
     # imports stay inside the package

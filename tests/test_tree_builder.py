@@ -4,7 +4,7 @@ import random
 import pytest
 
 from turncover import bench, pipeline
-from turncover.brick_tiling import BrickSet, min_brick_tiling
+from turncover.brick_tiling import min_brick_tiling
 from turncover.grid_map import DisconnectedGraphError
 from turncover.tree_builder import (
     DOWN,
@@ -22,6 +22,7 @@ from turncover.tree_builder import (
 
 import oracles
 from conftest import (
+    bricks_of,
     make_span,
     make_tree,
     normalize_edge,
@@ -148,14 +149,16 @@ class TestMergeBricks:
             for seed, ratio in ((0, 0.1), (1, 0.2), (2, 0.3))]
         for span in spans:
             bricks = min_brick_tiling(span)
+            height = span.mega_height
             masks = merge_bricks(bricks, span).flat_masks
             # the tiling's id runs and the same bricks built by hand
-            assert merge_bricks(BrickSet(bricks.bricks), span).flat_masks == masks
+            hand_built = bricks_of(bricks.bricks, height)
+            assert merge_bricks(hand_built, span).flat_masks == masks
             reversed_all = [brick[::-1] for brick in bricks.bricks]
             some = [brick[::rng.choice((1, -1))] for brick in bricks.bricks]
             for shuffled in (reversed_all, some):
                 rng.shuffle(shuffled)
-                tree = merge_bricks(BrickSet(tuple(shuffled)), span)
+                tree = merge_bricks(bricks_of(shuffled, height), span)
                 assert tree.flat_masks == masks
 
     def test_bricks_sharing_a_cell_or_bending(self):
@@ -167,8 +170,8 @@ class TestMergeBricks:
                  ((2, 2), (2, 1), (1, 1))),
                 (((0, 0), (0, 1), (1, 1), (1, 0)), ((2, 0), (2, 1), (2, 2)),
                  ((0, 2), (1, 2)), ((1, 2), (1, 1)))):
-            tree = merge_bricks(BrickSet(bricks), span)
-            assert tree.edges == _reference_merge(BrickSet(bricks), span)
+            tree = merge_bricks(bricks_of(bricks, 3), span)
+            assert tree.edges == _reference_merge(bricks_of(bricks, 3), span)
             assert len(tree.edges) == len(span.nodes) - 1
 
     @pytest.mark.parametrize("mega", [80, 120])
@@ -186,9 +189,8 @@ class TestMergeBricks:
             root = min(span.nodes)
             for tree in (merge_bricks(min_brick_tiling(span), span),
                          dfs_tree(span, root), kruskal_tree(span, 0)):
-                assert "nodes" not in tree.__dict__
-                assert tree.nodes == span.nodes
-                assert tree.free is span.free
+                # the tree's nodes are its span's one lazy view
+                assert tree.span is span and tree.nodes is span.nodes
 
     def test_flat_tree_equals_public_tree(self, rng):
         spans = [random_connected_span(rng, max_dim=8, max_cells=40)
@@ -198,9 +200,10 @@ class TestMergeBricks:
             tree = merge_bricks(min_brick_tiling(span), span)
             public = make_tree(tree.nodes, tree.edges)
             assert tree_turns(tree) == tree_turns(public)
+            height, public_height = span.mega_height, public.span.mega_height
             for x, y in tree.nodes:
-                assert (tree.flat_masks[x * tree.height + y]
-                        == public.flat_masks[x * public.height + y])
+                assert (tree.flat_masks[x * height + y]
+                        == public.flat_masks[x * public_height + y])
 
     def test_bad_bricks_rejected(self):
         span = make_span(3, 2, obstacles=((2, 1),))
@@ -210,7 +213,11 @@ class TestMergeBricks:
                 ((((1, 0), (1, 1)), ((1, 1), (2, 1))), "leaves the graph"),
                 ((((0, 0), (1, 0), (0, 0)),), "close a cycle")):
             with pytest.raises(ValueError, match=match):
-                merge_bricks(BrickSet(bricks), span)
+                merge_bricks(bricks_of(bricks, 2), span)
+        # ids of another layout are not converted
+        for height in (1, 3):
+            with pytest.raises(ValueError, match=f"height {height} do not"):
+                merge_bricks(bricks_of((((0, 0),),), height), span)
 
     def test_single_brick_is_its_chain(self):
         span = make_span(4, 1)
@@ -222,7 +229,7 @@ class TestMergeBricks:
 
     def test_two_parallel_bricks_one_connector(self):
         span = make_span(2, 2)
-        bricks = BrickSet(((((0, 0), (1, 0))), (((0, 1), (1, 1)))))
+        bricks = bricks_of((((0, 0), (1, 0)), ((0, 1), (1, 1))), 2)
         tree = merge_bricks(bricks, span)
         assert len(tree.edges) == 3
         connectors = tree.edges - {((0, 0), (1, 0)), ((0, 1), (1, 1))}
@@ -258,7 +265,7 @@ class TestMergeBricks:
 
     def test_disconnected_graph_rejected(self):
         span = make_span(3, 1, obstacles=((1, 0),))
-        bricks = BrickSet((((0, 0),), ((2, 0),)))
+        bricks = bricks_of((((0, 0),), ((2, 0),)), 1)
         with pytest.raises(DisconnectedGraphError):
             merge_bricks(bricks, span)
 
