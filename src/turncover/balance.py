@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
+from functools import cached_property
 from itertools import accumulate
 from operator import sub
 
@@ -35,6 +36,8 @@ from .coverage_path import (
     CoverageLoop,
     RobotParams,
     TwistSet,
+    cells,
+    cells_at,
     extract_twists,
     leg_time,
     path_time,
@@ -55,20 +58,30 @@ class RobotStart(Record):
 
 
 class RobotAssignment(Record):
+    """One robot's arc of the loop and its sweep: ``runs`` are the id
+    runs (as in :class:`CoverageLoop`, ``rows`` unit rows) of the
+    concrete traversal, reversal included; ``sequence`` is their
+    coordinate view, derived on first access."""
+
     robot_id: int
     anchored: int
     arc_start: int  # loop index of first arc node
     arc_length: int
-    sequence: tuple[Coord, ...]  # concrete traversal, reversal included
+    runs: tuple[range, ...]
+    rows: int
     twists: TwistSet
     time: float
 
     def __init__(self, robot_id: int, anchored: int, arc_start: int,
-                 arc_length: int, sequence: tuple[Coord, ...],
+                 arc_length: int, runs: tuple[range, ...], rows: int,
                  twists: TwistSet, time: float) -> None:
         self.__dict__.update(robot_id=robot_id, anchored=anchored,
                              arc_start=arc_start, arc_length=arc_length,
-                             sequence=sequence, twists=twists, time=time)
+                             runs=runs, rows=rows, twists=twists, time=time)
+
+    @cached_property
+    def sequence(self) -> tuple[Coord, ...]:
+        return cells(self.runs, self.rows)
 
 
 class CoveragePlan(Record):
@@ -95,17 +108,10 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
     size = len(loop)
     if len(requested) > size:
         raise ValueError(f"{len(requested)} robots exceed loop length {size}")
-    index = {node: i for i, node in enumerate(loop.nodes)}
     taken: set[int] = set()
     starts = []
     for rid, (rx, ry) in enumerate(requested):
-        best = index.get((rx, ry))
-        if best is None:
-            best = min(
-                range(size),
-                key=lambda i: ((loop.nodes[i][0] - rx) ** 2
-                               + (loop.nodes[i][1] - ry) ** 2, i),
-            )
+        best = loop.nearest((rx, ry))
         while best in taken:
             best = (best - 1) % size
         taken.add(best)
@@ -116,9 +122,10 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
 def _arc_sequence(
     loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int,
     near_first: bool,
-) -> list[Coord]:
-    """Concrete node sequence of one sweep strategy: near start end
-    first, or far end first."""
+) -> tuple[range, ...]:
+    """Id runs of one sweep strategy: near start end first, or far end
+    first. They are the loop's runs, cut at the arc's ends and at the
+    anchor, each run the sweep walks back reversed (``range[::-1]``)."""
     size = len(loop)
     if arc_length < 1 or arc_length > size:
         raise ValueError(f"bad arc length {arc_length}")
@@ -126,22 +133,22 @@ def _arc_sequence(
     p = (anchor - first) % size
     if not (0 <= anchor < size and p < arc_length):
         raise ValueError(f"anchor {anchor} outside arc")
-    end = first + arc_length
-    nodes = list(loop.nodes[first:end])
-    if end > size:
-        nodes += loop.nodes[:end - size]
-    if near_first:
-        return nodes[p::-1] + nodes[1:]
-    return nodes[p:] + nodes[-2::-1]
+    if near_first:  # back to the arc's first node, then forward
+        ahead = loop.arc(first + 1, arc_length - 1)
+        back = loop.arc(first, p + 1)
+        return (*[run[::-1] for run in reversed(back)], *ahead)
+    ahead = loop.arc(first + p, arc_length - p)
+    back = loop.arc(first, arc_length - 1)
+    return (*ahead, *[run[::-1] for run in reversed(back)])
 
 
-def _sweep_twists(seq: list[Coord] | tuple[Coord, ...], inner: list[int],
+def _sweep_twists(runs: tuple[range, ...], rows: int, inner: list[int],
                   arc_length: int, offset: int, near_first: bool) -> TwistSet:
-    """Twists of the sweep ``seq`` that :func:`_arc_sequence` builds for
+    """Twists of the sweep ``runs`` that :func:`_arc_sequence` builds for
     an arc anchored ``offset`` nodes after its first, from the arc's
     interior turns ``inner`` (:meth:`LoopCostModel.inner_turns`).
 
-    They are what :func:`extract_twists` finds on ``seq``. The sweep
+    They are what :func:`extract_twists` finds on the sweep. The sweep
     turns where the arc turns, mirrored around the anchor on the leg
     walked first and again around the reversal on the leg after it; a
     loop's nodes are distinct, so none of its turns is a reversal. The
@@ -160,16 +167,7 @@ def _sweep_twists(seq: list[Coord] | tuple[Coord, ...], inner: list[int],
             out = [j - offset for j in inner if j > offset]
             back = [r + arc_length - 1 - j for j in reversed(inner)]
         indices = [0, *out, *((r, r) if r else ()), *back, r + arc_length - 1]
-    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
-
-
-def _arc_sequences(
-    loop: CoverageLoop, arc_start: int, arc_length: int, anchor: int
-) -> list[list[Coord]]:
-    """Concrete node sequences for the two sweep strategies, near start
-    end first and far end first."""
-    return [_arc_sequence(loop, arc_start, arc_length, anchor, near_first)
-            for near_first in (True, False)]
+    return TwistSet(tuple(indices), cells_at(runs, rows, indices))
 
 
 def arc_cost(
@@ -178,9 +176,11 @@ def arc_cost(
 ) -> float:
     """Cheaper of the two anchored sweep strategies, timed on the
     concrete node sequence (reversal twists included)."""
-    seqs = _arc_sequences(loop, arc_start, arc_length, anchor)
     return min(
-        path_time(extract_twists(s), params, loop.resolution_d) for s in seqs
+        path_time(extract_twists(cells(
+            _arc_sequence(loop, arc_start, arc_length, anchor, near_first),
+            loop.rows)), params, loop.resolution_d)
+        for near_first in (True, False)
     )
 
 
@@ -514,6 +514,7 @@ def balance_partition(
             for i in range(k)
         ]
 
+    rows = loop.rows
     assignments = []
     for (arc_start, arc_length), robot in zip(arcs, ordered):
         if k == 1:
@@ -522,23 +523,23 @@ def balance_partition(
             # loop's turns rotated to the anchor, without building a
             # LoopCostModel (see ROADMAP, rejected simplifications)
             a = robot.anchored
-            seq = loop.nodes[a:] + loop.nodes[:a]
+            runs = loop.arc(a, size)
             rotated = sorted([(i - a) % size for i in loop.turns])
             indices = [0, *[i for i in rotated if 0 < i < size - 1], size - 1]
-            twists = TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
+            twists = TwistSet(tuple(indices), cells_at(runs, rows, indices))
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
-            seq = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
-                                near_first)
+            runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
+                                 near_first)
             twists = _sweep_twists(
-                seq, model.inner_turns(arc_start, arc_length), arc_length,
-                (robot.anchored - arc_start) % size, near_first)
+                runs, rows, model.inner_turns(arc_start, arc_length),
+                arc_length, (robot.anchored - arc_start) % size, near_first)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,
-                tuple(seq), twists, t,
+                runs, rows, twists, t,
             )
         )
     assignments.sort(key=lambda r: r.robot_id)

@@ -11,7 +11,8 @@ import tempfile
 from pathlib import Path
 from typing import NoReturn
 
-from . import bench, brick_tiling, grid_map, pipeline, render, tree_builder
+from . import (bench, brick_tiling, coverage_path, grid_map, pipeline, render,
+               tree_builder)
 from .coverage_path import RobotParams
 
 
@@ -102,21 +103,32 @@ def plan_record_text(result: pipeline.PlanResult, d: float) -> str:
     """One line per robot: id, anchored loop index, twist count, time
     (3 decimals), then metric waypoints as x:y pairs.
 
-    Each unit-cell coordinate is formatted once: the waypoints join the
-    strings of their x and y.
+    Each unit-cell coordinate is formatted once, and each straight run
+    of a sweep is written by one join of those strings: down or up a
+    column the x string prefixes every y string, along a row the y
+    string follows every x string. The whole text is joined once.
     """
     span = result.span
     text = [f"{(c + 0.5) * d:.3f}"
             for c in range(2 * max(span.mega_width, span.mega_height))]
-    lines = []
+    parts = []
     for robot in result.plan.robots:
-        waypoints = " ".join([text[x] + ":" + text[y] for x, y in robot.sequence])
-        lines.append(
-            f"robot={robot.robot_id} anchor={robot.anchored} "
-            f"twists={robot.twists.n} time={robot.time:.3f} "
-            f"waypoints={waypoints}"
-        )
-    return "\n".join(lines) + "\n"
+        parts.append(f"robot={robot.robot_id} anchor={robot.anchored} "
+                     f"twists={robot.twists.n} time={robot.time:.3f} "
+                     "waypoints=")
+        for fixed, first, last, vertical in coverage_path.legs(robot.runs,
+                                                               robot.rows):
+            words = (text[first:last + 1] if first <= last
+                     else text[last:first + 1][::-1])
+            if vertical:
+                prefix = text[fixed] + ":"
+                parts.append(prefix + (" " + prefix).join(words))
+            else:
+                suffix = ":" + text[fixed]
+                parts.append((suffix + " ").join(words) + suffix)
+            parts.append(" ")
+        parts[-1] = "\n"
+    return "".join(parts)
 
 
 def cmd_plan(args) -> int:

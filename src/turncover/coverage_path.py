@@ -15,9 +15,12 @@ cost per 90-degree twist.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from itertools import compress, repeat
-from operator import ne, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import contains, ne, sub
 
 from .grid_map import Coord, Record
 from .tree_builder import DOWN, LEFT, RIGHT, UP, SpanningTree
@@ -43,31 +46,137 @@ class RobotParams(Record):
 
 class CoverageLoop(Record):
     """Cyclic sequence of coverage nodes; consecutive entries (and the
-    wrap-around pair) are 4-adjacent unit cells."""
+    wrap-around pair) are 4-adjacent unit cells.
 
-    nodes: tuple[Coord, ...]
+    The loop is its straight runs: each a ``range`` of unit-cell ids
+    ``x * rows + y`` whose cells step on by the range's step (``+-1``
+    down or up a column, ``+-rows`` right or left along a row), the
+    last cell of a run into the first of the next, the last run's into
+    the loop's first node. ``nodes`` is the coordinate view, derived on
+    first access."""
+
+    runs: tuple[range, ...]
+    rows: int
     resolution_d: float
 
-    def __init__(self, nodes: tuple[Coord, ...],
+    def __init__(self, runs: tuple[range, ...], rows: int,
                  resolution_d: float = 0.5) -> None:
-        self.__dict__.update(nodes=nodes, resolution_d=resolution_d)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
+        self.__dict__.update(runs=runs, rows=rows, resolution_d=resolution_d)
 
     @cached_property
+    def nodes(self) -> tuple[Coord, ...]:
+        return cells(self.runs, self.rows)
+
+    @cached_property
+    def _packed_starts(self) -> bytes:
+        # four bytes a run: a list would keep an int object per run, half
+        # as much again as the run's range
+        runs = self.runs
+        return struct.Struct(f"{len(runs) + 1}I").pack(
+            0, *accumulate(map(len, runs)))
+
+    @property
+    def starts(self) -> Sequence[int]:
+        """Loop index of each run's first node, then the loop's length."""
+        return memoryview(self._packed_starts).cast("I")
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    @property
     def turns(self) -> tuple[int, ...]:
         """Ascending loop indices at which the heading changes: index
         ``i`` when the step into node ``i`` differs from the step out of
-        it, cyclically. Headings are the steps of the code ``2x + y``:
-        loop neighbours are 4-adjacent, so the steps +-1 and +-2 tell the
-        four headings apart. :func:`circumnavigate` stores the turns it
-        walked instead; this is not a field, so equality, hashing and
-        ``repr`` ignore it."""
-        code = [2 * x + y for x, y in self.nodes]
-        steps = list(map(sub, code[1:] + code[:1], code))
-        return tuple(compress(range(len(steps)),
-                              map(ne, steps[-1:] + steps[:-1], steps)))
+        it, cyclically. A run's cells share their step out, so these are
+        the run starts, the first one only when the last run's step
+        differs from the first's."""
+        runs = self.runs
+        starts = self.starts[:-1]
+        return tuple(starts if runs[-1].step != runs[0].step else starts[1:])
+
+    def arc(self, first: int, length: int) -> tuple[range, ...]:
+        """The runs of the ``length`` nodes from loop index ``first`` on,
+        cyclically: the loop's own runs, cut at the arc's ends. The
+        whole loop from index 0 is the loop's own tuple."""
+        if length < 1:
+            return ()
+        runs, starts = self.runs, self.starts
+        size = starts[-1]
+        first %= size
+        if first == 0 and length == size:
+            return runs
+        last = first + length - 1
+        j = bisect_right(starts, first) - 1
+        if last < size:
+            m = bisect_right(starts, last) - 1
+            pieces = list(runs[j:m + 1])
+        else:  # the arc wraps past the loop's last node
+            last -= size
+            m = bisect_right(starts, last) - 1
+            pieces = [*runs[j:], *runs[:m + 1]]
+        pieces[-1] = pieces[-1][:last - starts[m] + 1]
+        pieces[0] = pieces[0][first - starts[j]:]
+        return tuple(pieces)
+
+    def nearest(self, cell: Coord) -> int:
+        """Loop index of the node nearest to ``cell`` (squared Euclidean
+        distance), the lowest index on ties.
+
+        A node hit exactly is found by range membership. Otherwise each
+        run, a straight segment, is nearest at ``cell`` clamped to it:
+        along the run the distance grows both ways from there."""
+        runs, starts, rows = self.runs, self.starts, self.rows
+        rx, ry = cell
+        if 0 <= ry < rows:
+            cell_id = rx * rows + ry
+            hit = next(compress(count(), map(contains, runs,
+                                              repeat(cell_id))), None)
+            if hit is not None:
+                return starts[hit] + runs[hit].index(cell_id)
+        best = None
+        for start, run in zip(starts, runs):
+            x0, y0 = divmod(run[0], rows)
+            x1, y1 = divmod(run[-1], rows)
+            x, y = sorted((x0, rx, x1))[1], sorted((y0, ry, y1))[1]
+            key = ((x - rx) ** 2 + (y - ry) ** 2,
+                   start + abs(x - x0) + abs(y - y0))
+            if best is None or key < best:
+                best = key
+        return best[1]
+
+
+def cells(runs: Sequence[range], rows: int) -> tuple[Coord, ...]:
+    """The ``(x, y)`` unit cells that the id runs ``runs`` walk."""
+    return tuple(map(divmod, chain.from_iterable(runs), repeat(rows)))
+
+
+def cells_at(runs: Sequence[range], rows: int,
+             indices: Iterable[int]) -> tuple[Coord, ...]:
+    """The ``(x, y)`` unit cells at the ascending ``indices`` of the node
+    sequence that the id runs ``runs`` walk."""
+    found = []
+    ends = zip(runs, accumulate(map(len, runs)))
+    run, end = (), 0
+    for i in indices:
+        while end <= i:
+            run, end = next(ends)
+        found.append(divmod(run[i - end], rows))
+    return tuple(found)
+
+
+def legs(runs: Sequence[range], rows: int
+         ) -> Iterator[tuple[int, int, int, bool]]:
+    """Each run of unit-cell ids as ``(fixed, first, last, vertical)``: a
+    vertical run walks column ``fixed`` from row ``first`` to row
+    ``last``, a horizontal one walks row ``fixed`` from column ``first``
+    to column ``last``, either way round."""
+    for run in runs:
+        x, y = divmod(run.start, rows)
+        step = run.step
+        if step == 1 or step == -1:
+            yield x, y, y + (len(run) - 1) * step, True
+        else:
+            yield y, x, x + (len(run) - 1) * (step // rows), False
 
 
 class TwistSet(Record):
@@ -116,8 +225,8 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     The walk goes by straight runs. Each unit cell's move is written
     once, a mega column at a time, and a run ends at the first cell of
     its column (down, up) or row (right, left) whose move has another
-    heading. The run starts are the loop's turns, which the loop keeps
-    as :attr:`CoverageLoop.turns`.
+    heading. The loop keeps those runs as ranges of unit-cell ids; their
+    starts are its turns (:attr:`CoverageLoop.turns`).
     """
     span, masks = tree.span, tree.flat_masks
     height = span.mega_height
@@ -142,57 +251,61 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     right = by_row.translate(_HEADING[RIGHT])
     left = by_row.translate(_HEADING[LEFT])
 
-    nodes: list[Coord] = []
-    extend = nodes.extend
-    turns = []
+    runs = []
+    append = runs.append
+    walked = 0
     x, y = start
-    heading = first = moves[x * rows + y]
-    while len(nodes) <= n:
-        turns.append(len(nodes))
-        # the run's cells move on by ``heading`` up to ``end``, which is
-        # off the grid when no cell of the column or row stops the run.
-        # Its tuples are made here, in loop order: tuples laid out in
-        # that order make reading the loop faster later.
+    here = x * rows + y
+    heading = moves[here]
+    leftward = -rows  # one int object for the step of every leftward run
+    while walked <= n:
+        # the run's cells move on by ``heading`` from the cell ``here`` up
+        # to ``end``, which is off the grid when no cell of the column or
+        # row stops the run. The run's stop is the id of the next run's
+        # first cell, and that run starts from the same int object.
         if heading == DOWN:
             base = x * rows
-            end = down.find(0, base + y, base + rows)
+            end = down.find(0, here, base + rows)
             end = end - base if end >= 0 else rows
             closes = x == sx and y < sy <= end
-            extend(zip(repeat(x), range(y, sy if closes else end)))
+            stop = base + (sy if closes else end)
+            run = range(here, stop)
             y = end
         elif heading == UP:
             base = x * rows
-            end = up.rfind(0, base, base + y)
+            end = up.rfind(0, base, here)
             end = end - base if end >= 0 else -1
             closes = x == sx and end <= sy < y
-            extend(zip(repeat(x), range(y, sy if closes else end, -1)))
+            stop = base + (sy if closes else end)
+            run = range(here, stop, -1)
             y = end
         elif heading == RIGHT:
             base = y * cols
             end = right.find(0, base + x, base + cols)
             end = end - base if end >= 0 else cols
             closes = y == sy and x < sx <= end
-            extend(zip(range(x, sx if closes else end), repeat(y)))
+            stop = (sx if closes else end) * rows + y
+            run = range(here, stop, rows)
             x = end
         else:
             base = y * cols
             end = left.rfind(0, base, base + x)
             end = end - base if end >= 0 else -1
             closes = y == sy and end <= sx < x
-            extend(zip(range(x, sx if closes else end, -1), repeat(y)))
+            stop = (sx if closes else end) * rows + y
+            run = range(here, stop, leftward)
             x = end
+        append(run)
+        walked += len(run)
         if closes or not (0 <= x < cols and 0 <= y < rows):
             break
-        heading = moves[x * rows + y]
-    if not closes or len(nodes) != n:
+        here = stop
+        heading = moves[here]
+    if not closes or walked != n:
         raise AssertionError(
             f"circumnavigation did not close after exactly {n} steps"
         )
-    if heading == first:  # the loop runs straight through its start
-        del turns[0]
-    loop = CoverageLoop(tuple(nodes), resolution_d)
-    loop.__dict__["turns"] = tuple(turns)
-    return loop
+    return CoverageLoop(tuple(runs), rows, resolution_d)
 
 
 def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:

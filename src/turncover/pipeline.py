@@ -97,10 +97,10 @@ def plan(
     if starts:
         anchored = balance.anchor_starts(loop, starts)
     else:
-        anchored = [
-            RobotStart(i, loop.nodes[i * size // k], i * size // k)
-            for i in range(k)
-        ]
+        spread = [i * size // k for i in range(k)]
+        cells = coverage_path.cells_at(loop.runs, loop.rows, spread)
+        anchored = [RobotStart(i, cell, index)
+                    for i, (cell, index) in enumerate(zip(cells, spread))]
     robot_plan = balance.balance_partition(loop, anchored, params)
     return PlanResult(
         span=span,

@@ -41,6 +41,25 @@ def bricks_of(bricks, height) -> BrickSet:
                           for brick in bricks), height)
 
 
+def runs_of(cells, rows) -> tuple[range, ...]:
+    """The id runs of the ``(x, y)`` unit cells ``cells``, a loop or a
+    sweep: each cell as its id ``x * rows + y``, cut where the step to
+    the next cell changes (the last cell's step is the one back to the
+    first), each run a ``range`` with that step. ``CoverageLoop`` and
+    ``RobotAssignment`` are built from coordinates only through this."""
+    ids = [x * rows + y for x, y in cells]
+    assert all(0 <= y < rows for _, y in cells)
+    steps = [b - a for a, b in zip(ids, ids[1:] + ids[:1])]
+    runs = []
+    for i, step in enumerate(steps):
+        if runs and step == steps[i - 1] and step:
+            run = runs[-1]
+            runs[-1] = range(run.start, run.stop + step, step)
+        else:
+            runs.append(range(ids[i], ids[i] + (step or 1), step or 1))
+    return tuple(runs)
+
+
 def make_tree(nodes, edges) -> SpanningTree:
     """A tree from coordinate edges between unit-step neighbours, laid
     out on the smallest grid holding its nodes."""

@@ -6,10 +6,11 @@ for small instances, a bottleneck DP over cut positions for the min-max
 partition and for each first cut, the feasibility sweep priced one
 ``LoopCostModel.arc_cost`` call at a time, the segment graph built from
 coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
-matching, the quadrant-rule walk one unit cell at a time, the per-pair
-twist finder and loop turn count, the turn-cost delta of one edge on
-neighbour sets, and the DFS and Kruskal baseline trees as coordinate
-edge lists.
+matching, the quadrant-rule walk one unit cell at a time, the loop's
+turns from coordinate steps, each sweep sliced from the loop's nodes,
+the per-pair twist finder and loop turn count, the turn-cost delta of
+one edge on neighbour sets, and the DFS and Kruskal baseline trees as
+coordinate edge lists.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterable
-from itertools import groupby
-from operator import itemgetter
+from itertools import compress, groupby
+from operator import itemgetter, ne, sub
 from typing import NamedTuple
 
 from turncover.balance import LoopCostModel, RobotStart, arc_cost
@@ -29,7 +30,7 @@ from turncover.grid_map import (Coord, DisconnectedGraphError, GridMap,
 from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
                                     turn_count)
 
-from conftest import Edge, normalize_edge, span_edges, span_of
+from conftest import Edge, normalize_edge, runs_of, span_edges, span_of
 
 
 def _neighbors(span: SpanningGraph, node: Coord) -> tuple[Coord, ...]:
@@ -454,7 +455,41 @@ def quadrant_walk(tree: SpanningTree, start: Coord,
         raise AssertionError(
             f"circumnavigation did not close after exactly {n} steps"
         )
-    return CoverageLoop(tuple(nodes), resolution_d)
+    return CoverageLoop(runs_of(nodes, rows), rows, resolution_d)
+
+
+def loop_turns(nodes: tuple[Coord, ...]) -> tuple[int, ...]:
+    """Ascending indices at which a cyclic node sequence changes heading:
+    index ``i`` when the step into node ``i`` differs from the step out
+    of it. Headings are the steps of the code ``2x + y``: loop neighbours
+    are 4-adjacent, so the steps +-1 and +-2 tell the four headings
+    apart."""
+    code = [2 * x + y for x, y in nodes]
+    steps = list(map(sub, code[1:] + code[:1], code))
+    return tuple(compress(range(len(steps)),
+                          map(ne, steps[-1:] + steps[:-1], steps)))
+
+
+def arc_sequence(loop: CoverageLoop, arc_start: int, arc_length: int,
+                 anchor: int, near_first: bool) -> list[Coord]:
+    """Node sequence of one sweep strategy, sliced from the loop's
+    nodes: back from the anchor to the arc's first node and then forward
+    to its last (``near_first``), or forward to the last node and then
+    back to the first."""
+    size = len(loop)
+    if arc_length < 1 or arc_length > size:
+        raise ValueError(f"bad arc length {arc_length}")
+    first = arc_start % size
+    p = (anchor - first) % size
+    if not (0 <= anchor < size and p < arc_length):
+        raise ValueError(f"anchor {anchor} outside arc")
+    end = first + arc_length
+    nodes = list(loop.nodes[first:end])
+    if end > size:
+        nodes += loop.nodes[:end - size]
+    if near_first:
+        return nodes[p::-1] + nodes[1:]
+    return nodes[p:] + nodes[-2::-1]
 
 
 def _direction(a: Coord, b: Coord) -> Coord:

@@ -15,13 +15,16 @@ from turncover.balance import (
     balance_partition,
 )
 from turncover.brick_tiling import min_brick_tiling
-from turncover.coverage_path import RobotParams, circumnavigate, extract_twists, path_time
-from turncover.tree_builder import merge_bricks
+from turncover.coverage_path import (CoverageLoop, RobotParams, cells,
+                                    circumnavigate, extract_twists, path_time)
+from turncover.grid_map import coverage_nodes_of
+from turncover.tree_builder import dfs_tree, kruskal_tree, merge_bricks
 
 import oracles
 from conftest import make_span, random_connected_span
 from oracles import (bottleneck_partition, brute_force_partition,
-                     first_cut_makespans, greedy_cuts, shortest_gap_first)
+                     first_cut_makespans, greedy_cuts, quadrant_walk,
+                     shortest_gap_first)
 
 PARAMS = RobotParams()
 
@@ -99,7 +102,10 @@ class TestAnchorStarts:
                     else (rng.randint(-3, 12), rng.randint(-3, 9))
                     for _ in range(rng.randint(1, 8))
                 ]
-                starts = anchor_starts(loop, requested)
+                # a twin of the loop, whose coordinate view stays unbuilt
+                twin = CoverageLoop(loop.runs, loop.rows, loop.resolution_d)
+                starts = anchor_starts(twin, requested)
+                assert "nodes" not in twin.__dict__
                 assert [s.anchored for s in starts] == scan(loop, requested)
                 assert [s.requested for s in starts] == requested
 
@@ -223,8 +229,8 @@ class TestLoopCostModel:
                 assert cost(span) == direct(start, span, anchor), (
                     start, span, anchor)
                 if anchor < start + span:
-                    seqs = balance._arc_sequences(loop, start % size,
-                                                  span + 1, anchor % size)
+                    seqs = _oracle_sweeps(loop, start % size, span + 1,
+                                          anchor % size)
                     orders = cost(span, True)
                     assert orders[0] == path_time(
                         extract_twists(seqs[0]), params, loop.resolution_d)
@@ -246,7 +252,7 @@ class TestLoopCostModel:
                 cases.append((start, length,
                               (start + rng.randrange(length)) % size))
             for start, length, anchor in cases:
-                seqs = balance._arc_sequences(loop, start, length, anchor)
+                seqs = _oracle_sweeps(loop, start, length, anchor)
                 timed = [(path_time(extract_twists(s), PARAMS,
                                     loop.resolution_d), j)
                          for j, s in enumerate(seqs)]
@@ -390,6 +396,13 @@ class TestBalancePartition:
                                                loop.resolution_d)
 
 
+def _oracle_sweeps(loop, arc_start, arc_length, anchor):
+    """The two sweep sequences sliced from the loop's nodes, near end
+    first and far end first."""
+    return [oracles.arc_sequence(loop, arc_start, arc_length, anchor,
+                                 near_first) for near_first in (True, False)]
+
+
 def _reference_arc_sequences(loop, arc_start, arc_length, anchor):
     """The two sweep sequences built from the arc's index list."""
     size = len(loop)
@@ -413,16 +426,22 @@ class TestSweepSequences:
                 cases.append((start, length,
                               (start + rng.randrange(length)) % size))
             for case in cases:
-                assert balance._arc_sequences(loop, *case) == (
-                    _reference_arc_sequences(loop, *case))
+                sweeps = [cells(balance._arc_sequence(loop, *case, near_first),
+                                loop.rows) for near_first in (True, False)]
+                assert sweeps == [tuple(s) for s in
+                                  _reference_arc_sequences(loop, *case)]
+                assert sweeps == [tuple(s) for s in
+                                  _oracle_sweeps(loop, *case)]
 
     def test_anchor_outside_arc_rejected(self):
         loop = square_loop()
         size = len(loop)
         for start, length, anchor in ((0, 4, 4), (size - 2, 3, 2),
                                       (0, size, size), (0, 3, -1)):
-            with pytest.raises(ValueError, match="outside arc"):
-                balance._arc_sequences(loop, start, length, anchor)
+            for near_first in (True, False):
+                with pytest.raises(ValueError, match="outside arc"):
+                    balance._arc_sequence(loop, start, length, anchor,
+                                          near_first)
 
     def test_sweep_twists_equal_extract_twists_on_walks(self):
         rng = random.Random(12)
@@ -460,6 +479,54 @@ class TestSweepSequences:
                     assert robot.twists == extract_twists(robot.sequence)
                     assert robot.time == path_time(robot.twists, PARAMS,
                                                    loop.resolution_d)
+
+
+_TREES = (
+    lambda s: merge_bricks(min_brick_tiling(s), s),
+    lambda s: dfs_tree(s, min(s.nodes)),
+    lambda s: kruskal_tree(s, 3),
+)
+
+
+class TestIdRunsAgainstCoordinateOracles:
+    """The loop and the sweeps are id runs; their coordinate views equal
+    what the coordinate definitions give."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(range(3)),
+           data=st.data())
+    def test_views_turns_sweeps_and_twists(self, seed, method, data):
+        span = random_connected_span(random.Random(seed), max_dim=7,
+                                     max_cells=30)
+        tree = _TREES[method](span)
+        start = data.draw(st.sampled_from(sorted(coverage_nodes_of(
+            span.nodes))))
+        loop = circumnavigate(tree, start)
+        assert loop.nodes == quadrant_walk(tree, start).nodes
+        assert loop.turns == oracles.loop_turns(loop.nodes)
+        size = len(loop)
+        for _ in range(4):
+            arc_start = data.draw(st.integers(0, 2 * size - 1))
+            length = data.draw(st.integers(1, size))
+            anchor = (arc_start + data.draw(st.integers(0, length - 1))) % size
+            for near_first in (True, False):
+                runs = balance._arc_sequence(loop, arc_start, length, anchor,
+                                             near_first)
+                assert cells(runs, loop.rows) == tuple(oracles.arc_sequence(
+                    loop, arc_start, length, anchor, near_first))
+        k = data.draw(st.integers(1, min(5, size)))
+        anchors = sorted(data.draw(st.sets(st.integers(0, size - 1),
+                                           min_size=k, max_size=k)))
+        starts = [RobotStart(i, loop.nodes[a], a) for i, a in enumerate(anchors)]
+        model = LoopCostModel(loop, PARAMS)
+        for robot in balance_partition(loop, starts, PARAMS).robots:
+            # one robot sweeps the whole loop one way from its anchor
+            near_first = k == 1 or model.sweep_order(
+                robot.arc_start, robot.arc_length, robot.anchored)[1]
+            assert robot.sequence == tuple(oracles.arc_sequence(
+                loop, robot.arc_start, robot.arc_length, robot.anchored,
+                near_first))
+            assert robot.twists == extract_twists(robot.sequence)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from turncover import bench, pipeline
 from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (
-    CoverageLoop,
     RobotParams,
     circumnavigate,
     extract_twists,
@@ -27,7 +26,7 @@ from turncover.tree_builder import (
 
 from conftest import (make_span, make_tree, normalize_edge,
                       random_connected_span, span_of)
-from oracles import loop_turn_count, quadrant_walk
+from oracles import loop_turn_count, loop_turns, quadrant_walk
 
 PARAMS = RobotParams()
 
@@ -141,8 +140,8 @@ class TestCircumnavigate:
                 start = (2 * min(span.nodes)[0], 2 * min(span.nodes)[1])
                 loop = circumnavigate(tree, start)
                 assert loop_turn_count(loop) == tree_turns(tree)
-                # the turns the walk kept are the ones the nodes show
-                assert loop.turns == CoverageLoop(loop.nodes).turns
+                # the turns of the runs are the ones the nodes show
+                assert loop.turns == loop_turns(loop.nodes)
                 assert len(loop.turns) == tree_turns(tree)
 
     def test_matches_allowed_moves_walk(self):
@@ -209,7 +208,7 @@ class TestWalkOracle:
         for start in sorted(coverage_nodes_of(span.nodes)):
             loop, turns = _walk_outcome(circumnavigate, tree, start)
             assert loop == quadrant_walk(tree, start)
-            assert turns == CoverageLoop(loop.nodes).turns
+            assert turns == loop_turns(loop.nodes)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data(), width=st.integers(1, 4), height=st.integers(1, 4))
@@ -228,7 +227,7 @@ class TestWalkOracle:
                 expected = _walk_outcome(quadrant_walk, tree, start)
                 if isinstance(expected, tuple):
                     loop, turns = expected
-                    expected = loop, CoverageLoop(loop.nodes).turns
+                    expected = loop, loop_turns(loop.nodes)
                 assert _walk_outcome(circumnavigate, tree, start) == expected
 
     def test_start_off_the_grid_rejected_by_both(self):

@@ -3,7 +3,9 @@ checks, field-wise equality and hashing, repr, immutability, the
 cached derived arrays and the coordinate views that a plan leaves
 unbuilt."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
@@ -19,9 +21,9 @@ from turncover.pipeline import PlanResult
 from turncover.tree_builder import SpanningTree
 
 import oracles
-from conftest import bricks_of, span_of
+from conftest import bricks_of, runs_of, span_of
 
-LOOP = ((0, 0), (0, 1), (1, 1), (1, 0))
+LOOP = ((0, 0), (0, 1), (1, 1), (1, 0))  # unit cells of a 2-row grid
 # trees compare by identity, so both calls of _cases share this one
 TREE = SpanningTree(span_of(1, 1, {(0, 0)}), bytearray(1))
 
@@ -33,7 +35,8 @@ def _cases():
     grid = GridMap(2, 2, (False, True, False, False), 0.25)
     span = span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)})
     twists = TwistSet((0, 1, 3), ((0, 0), (0, 1), (1, 0)))
-    robot = RobotAssignment(0, 1, 1, 3, LOOP[1:], twists, 2.5)
+    robot = RobotAssignment(0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists,
+                            2.5)
     plan = CoveragePlan((robot,))
     return [
         (GridMap, ("width", "height", "cells", "resolution_d"),
@@ -45,18 +48,19 @@ def _cases():
          ([0, 0, 1, 2], b"\0\1\1\0", [0, 3], [(1, 2), (), (), ()])),
         (BrickSet, ("runs", "height"), ((range(0, 3, 2), range(1, 2)), 2)),
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
-        (CoverageLoop, ("nodes", "resolution_d"), (LOOP, 0.25)),
+        (CoverageLoop, ("runs", "rows", "resolution_d"),
+         (runs_of(LOOP, 2), 2, 0.25)),
         (TwistSet, ("indices", "points"),
          ((0, 1, 3), ((0, 0), (0, 1), (1, 0)))),
         (RobotStart, ("robot_id", "requested", "anchored"), (1, (2, 3), 4)),
         (RobotAssignment,
-         ("robot_id", "anchored", "arc_start", "arc_length", "sequence",
+         ("robot_id", "anchored", "arc_start", "arc_length", "runs", "rows",
           "twists", "time"),
-         (0, 1, 1, 3, LOOP[1:], twists, 2.5)),
+         (0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists, 2.5)),
         (CoveragePlan, ("robots",), ((robot,),)),
         (PlanResult, ("span", "bricks", "tree", "loop", "plan", "tree_turns"),
-         (span, BrickSet((range(0, 1),), 2), TREE, CoverageLoop(LOOP), plan,
-          4)),
+         (span, BrickSet((range(0, 1),), 2), TREE,
+          CoverageLoop(runs_of(LOOP, 2), 2), plan, 4)),
         (Scenario,
          ("name", "grid", "k", "starts", "params", "tree_method", "seed"),
          ("s", grid, 2, ((0, 0), (0, 2)), RobotParams(1.0), "dfs", 5)),
@@ -77,10 +81,10 @@ CHANGED = {
     SegmentGraph: ("horizontal_ids", [0]),
     BrickSet: ("height", 3),
     RobotParams: ("omega", 0.5),
-    CoverageLoop: ("resolution_d", 0.5),
+    CoverageLoop: ("rows", 4),
     TwistSet: ("indices", (0, 2, 3)),
     RobotStart: ("anchored", 5),
-    RobotAssignment: ("time", 2.0),
+    RobotAssignment: ("rows", 4),
     CoveragePlan: ("robots", ()),
     PlanResult: ("tree_turns", 5),
     Scenario: ("seed", 6),
@@ -140,7 +144,7 @@ class TestDefaults:
 
     def test_resolution(self):
         assert GridMap(1, 1, (False,)).resolution_d == 0.5
-        assert CoverageLoop(LOOP).resolution_d == 0.5
+        assert CoverageLoop(runs_of(LOOP, 2), 2).resolution_d == 0.5
 
     def test_scenario(self):
         grid = GridMap(2, 2, (False,) * 4)
@@ -230,21 +234,27 @@ class TestLazyViews:
             assert brick == tuple((i // height, i % height) for i in run)
 
 
+# the coordinate view each record derives on first access; a tree's
+# ``nodes`` are its span's
+VIEWS = {SpanningGraph: "nodes", BrickSet: "bricks", SpanningTree: "nodes",
+         CoverageLoop: "nodes", RobotAssignment: "sequence"}
+
+
 def _built_views(recorded):
-    """The coordinate views built on the recorded spans, brick sets and
-    trees: the names found in their ``__dict__``. A tree's ``nodes`` are
-    its span's."""
+    """The coordinate views built on the recorded records: the names
+    found in their ``__dict__``."""
     built = []
     for obj in recorded:
-        name = "bricks" if isinstance(obj, BrickSet) else "nodes"
+        name = VIEWS[type(obj)]
         if name in obj.__dict__:
             built.append(f"{type(obj).__name__}.{name}")
     return built
 
 
 def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
-    """Every plan path runs on node ids: no span, brick set or tree it
-    makes has built its coordinate tuples when the run returns."""
+    """Every plan path runs on node ids: no span, brick set, tree, loop
+    or robot sweep it makes has built its coordinate tuples when the run
+    returns."""
     recorded = []
 
     def record(module, name, pick):
@@ -261,7 +271,8 @@ def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
     record(pipeline, "build_tree",
            lambda out: [x for x in out if x is not None])
     record(pipeline, "plan",
-           lambda r: [x for x in (r.span, r.bricks, r.tree) if x is not None])
+           lambda r: [x for x in (r.span, r.bricks, r.tree, r.loop,
+                                  *r.plan.robots) if x is not None])
 
     grid = bench.generate_random_map((12, 10), 0.15, 4)
     free = [(x, y) for y in range(grid.height) for x in range(grid.width)
@@ -294,8 +305,46 @@ def test_comparing_and_hashing_plans_builds_no_coordinate_views():
     assert first.span == second.span and first.bricks == second.bricks
     assert hash(first.span) == hash(second.span)
     assert hash(first.bricks) == hash(second.bricks)
+    assert first.loop == second.loop and first.plan == second.plan
+    assert hash(first.loop) == hash(second.loop)
+    assert hash(first.plan) == hash(second.plan)
     assert first != second  # the trees compare by identity
     for result in (first, second):
         hash(result), repr(result)
-    assert not _built_views([first.span, second.span, first.bricks,
-                             second.bricks, first.tree, second.tree])
+    assert not _built_views([
+        record for result in (first, second)
+        for record in (result.span, result.bricks, result.tree, result.loop,
+                       *result.plan.robots)])
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_plan_and_record_text_build_no_loop_or_sweep_views(k):
+    """The loop and each robot's sweep are id runs: planning and writing
+    the record text build neither the loop's ``nodes`` nor any robot's
+    ``sequence``."""
+    grid = bench.generate_random_map((12, 10), 0.15, 4)
+    result = pipeline.plan(grid, k)
+    lines = cli.plan_record_text(result, grid.resolution_d).splitlines()
+    assert len(lines) == k
+    assert not _built_views([result.loop, *result.plan.robots])
+    # the views are there to read, and count as built once read
+    assert len(result.loop.nodes) == len(result.loop)
+    assert _built_views([result.loop]) == ["CoverageLoop.nodes"]
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_plan_retains_at_most_60_bytes_per_loop_node(k):
+    """What a plan leaves allocated, once its garbage is collected, stays
+    within 60 bytes per loop node: the loop and the sweeps keep a few
+    ranges per straight run, not a tuple per unit cell."""
+    grid = bench.generate_random_map((40, 40), 0.1, 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = pipeline.plan(grid, k)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 60 * len(result.loop), kept / len(result.loop)
