@@ -37,10 +37,10 @@ from .coverage_path import (
     RobotParams,
     TwistSet,
     cells,
-    cells_at,
     extract_twists,
     leg_time,
     path_time,
+    run_twists,
     turn_term,
 )
 from .grid_map import Coord, Record
@@ -140,34 +140,6 @@ def _arc_sequence(
     ahead = loop.arc(first + p, arc_length - p)
     back = loop.arc(first, arc_length - 1)
     return (*ahead, *[run[::-1] for run in reversed(back)])
-
-
-def _sweep_twists(runs: tuple[range, ...], rows: int, inner: list[int],
-                  arc_length: int, offset: int, near_first: bool) -> TwistSet:
-    """Twists of the sweep ``runs`` that :func:`_arc_sequence` builds for
-    an arc anchored ``offset`` nodes after its first, from the arc's
-    interior turns ``inner`` (:meth:`LoopCostModel.inner_turns`).
-
-    They are what :func:`extract_twists` finds on the sweep. The sweep
-    turns where the arc turns, mirrored around the anchor on the leg
-    walked first and again around the reversal on the leg after it; a
-    loop's nodes are distinct, so none of its turns is a reversal. The
-    sweep's own reversal counts twice, unless the anchor sits at the end
-    the sweep goes to first and the sweep runs one way.
-    """
-    if arc_length == 1:
-        indices = [0]
-    else:
-        if near_first:  # back to the arc's first node, then forward
-            r = offset
-            out = [r - j for j in reversed(inner) if j < offset]
-            back = [r + j for j in inner]
-        else:  # forward to the arc's last node, then back
-            r = arc_length - 1 - offset
-            out = [j - offset for j in inner if j > offset]
-            back = [r + arc_length - 1 - j for j in reversed(inner)]
-        indices = [0, *out, *((r, r) if r else ()), *back, r + arc_length - 1]
-    return TwistSet(tuple(indices), cells_at(runs, rows, indices))
 
 
 def arc_cost(
@@ -301,16 +273,6 @@ class LoopCostModel:
             return (full + (a if a < b else b)) / scale
 
         return aim, cost
-
-    def inner_turns(self, arc_start: int, arc_length: int) -> list[int]:
-        """Ascending offsets, from 1 to ``arc_length - 2``, of the arc's
-        nodes at which the loop turns."""
-        if arc_length < 3:
-            return []
-        first = arc_start % self.size
-        rank = self._rank
-        return [t - first for t in
-                self._turns2[rank[first]:rank[first + arc_length - 2]]]
 
     def _aim_arc(self, arc_start: int, arc_length: int,
                  anchor: int) -> tuple[int, int]:
@@ -470,6 +432,11 @@ def balance_partition(
     if not starts:
         raise ValueError("at least one robot start is required")
     size = len(loop)
+    for start in starts:
+        if not 0 <= start.anchored < size:
+            raise ValueError(
+                f"robot {start.robot_id}: anchor {start.anchored} is not a "
+                f"loop index (the loop has {size} nodes)")
     ordered = sorted(starts, key=lambda s: s.anchored)
     anchors = [s.anchored for s in ordered]
     if len(set(anchors)) != len(anchors):
@@ -519,23 +486,19 @@ def balance_partition(
     for (arc_start, arc_length), robot in zip(arcs, ordered):
         if k == 1:
             # the whole loop one way from the anchor; reversing only adds.
-            # path_time prices this one sweep, whose twists are the
-            # loop's turns rotated to the anchor, without building a
-            # LoopCostModel (see ROADMAP, rejected simplifications)
-            a = robot.anchored
-            runs = loop.arc(a, size)
-            rotated = sorted([(i - a) % size for i in loop.turns])
-            indices = [0, *[i for i in rotated if 0 < i < size - 1], size - 1]
-            twists = TwistSet(tuple(indices), cells_at(runs, rows, indices))
+            # Its twists are read off the sweep's runs by run_twists, as
+            # every robot's are, and path_time prices them without
+            # building a LoopCostModel (see ROADMAP, rejected
+            # simplifications)
+            runs = loop.arc(robot.anchored, size)
+            twists = run_twists(runs, rows)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
             runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
                                  near_first)
-            twists = _sweep_twists(
-                runs, rows, model.inner_turns(arc_start, arc_length),
-                arc_length, (robot.anchored - arc_start) % size, near_first)
+            twists = run_twists(runs, rows)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,

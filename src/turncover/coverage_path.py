@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import contains, ne, sub
@@ -150,20 +150,6 @@ def cells(runs: Sequence[range], rows: int) -> tuple[Coord, ...]:
     return tuple(map(divmod, chain.from_iterable(runs), repeat(rows)))
 
 
-def cells_at(runs: Sequence[range], rows: int,
-             indices: Iterable[int]) -> tuple[Coord, ...]:
-    """The ``(x, y)`` unit cells at the ascending ``indices`` of the node
-    sequence that the id runs ``runs`` walk."""
-    found = []
-    ends = zip(runs, accumulate(map(len, runs)))
-    run, end = (), 0
-    for i in indices:
-        while end <= i:
-            run, end = next(ends)
-        found.append(divmod(run[i - end], rows))
-    return tuple(found)
-
-
 def legs(runs: Sequence[range], rows: int
          ) -> Iterator[tuple[int, int, int, bool]]:
     """Each run of unit-cell ids as ``(fixed, first, last, vertical)``: a
@@ -197,6 +183,48 @@ class TwistSet(Record):
     @property
     def n(self) -> int:
         return len(self.indices)
+
+
+def run_twists(runs: Sequence[range], rows: int) -> TwistSet:
+    """Twists of the node sequence that the id runs ``runs`` walk: what
+    :func:`extract_twists` finds on its coordinates.
+
+    A run's cells step on by the run's step, and its last cell steps
+    into the next run's first cell. So only the two cells at a cut can
+    turn: the last one before it, on the step across the cut, and the
+    first one after it, on the run's own step (a one-node run has none).
+    A step equal to the one before adds nothing, a reversal adds its
+    index twice, and the first and last nodes always count."""
+    indices, points = [0], [divmod(runs[0].start, rows)]
+    end, into, last = -1, 0, 0  # the last node so far: index, step in, id
+    for run in runs:
+        first = run.start
+        if end >= 0:  # the step across the cut, out of the last node
+            step = first - last
+            if step != into and end:
+                point = divmod(last, rows)
+                indices.append(end)
+                points.append(point)
+                if step == -into:
+                    indices.append(end)
+                    points.append(point)
+            into = step
+        if len(run) > 1:  # the run's own step, out of its first node
+            step = run.step
+            if step != into and end >= 0:
+                point = divmod(first, rows)
+                indices.append(end + 1)
+                points.append(point)
+                if step == -into:
+                    indices.append(end + 1)
+                    points.append(point)
+            into = step
+        end += len(run)
+        last = run[-1]
+    if end:
+        indices.append(end)
+        points.append(divmod(last, rows))
+    return TwistSet(tuple(indices), tuple(points))
 
 
 # The walk's move from each quadrant of a mega cell, by the cell's mask:
@@ -313,8 +341,8 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     node; a reversal counts as two twist entries at the same node.
 
     This is the definition of a path's twists. A plan does not call it:
-    the partition cuts each robot's twists from the loop's turns, to the
-    same result.
+    the partition reads each robot's twists off its sweep's id runs
+    with :func:`run_twists`, to the same result.
 
     Headings are the steps of the code ``x * m + y``, with ``m`` two more
     than the y range: a step between 4-adjacent cells is ``+-1`` or

@@ -98,9 +98,9 @@ def plan(
         anchored = balance.anchor_starts(loop, starts)
     else:
         spread = [i * size // k for i in range(k)]
-        cells = coverage_path.cells_at(loop.runs, loop.rows, spread)
-        anchored = [RobotStart(i, cell, index)
-                    for i, (cell, index) in enumerate(zip(cells, spread))]
+        anchored = [
+            RobotStart(i, coverage_path.cells(loop.arc(a, 1), loop.rows)[0], a)
+            for i, a in enumerate(spread)]
     robot_plan = balance.balance_partition(loop, anchored, params)
     return PlanResult(
         span=span,

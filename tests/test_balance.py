@@ -16,7 +16,8 @@ from turncover.balance import (
 )
 from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (CoverageLoop, RobotParams, cells,
-                                    circumnavigate, extract_twists, path_time)
+                                    circumnavigate, extract_twists, path_time,
+                                    run_twists)
 from turncover.grid_map import coverage_nodes_of
 from turncover.tree_builder import dfs_tree, kruskal_tree, merge_bricks
 
@@ -286,6 +287,20 @@ class TestBalancePartition:
         assert abs(t0 - t1) < 1e-9
         assert plan.robots[0].arc_length == plan.robots[1].arc_length
 
+    def test_anchor_outside_loop_rejected(self):
+        # one robot and two: the last robot's anchor is off the loop's
+        # indices, the pair 3, 3 + size both naming node 3
+        loop = square_loop()
+        size = len(loop)
+        for anchors in ([-1], [size], [size + 1], [0, -1], [0, size],
+                        [0, size + 2], [3, 3 + size]):
+            starts = [RobotStart(i, loop.nodes[0], a)
+                      for i, a in enumerate(anchors)]
+            rid, anchor = len(anchors) - 1, anchors[-1]
+            with pytest.raises(ValueError, match=f"robot {rid}: anchor "
+                               f"{anchor} is not a loop index"):
+                balance_partition(loop, starts, PARAMS)
+
     def test_matches_brute_force_on_small_loops(self):
         rng = random.Random(5)
         # (mega, map seed, anchors): a float cost model missed these by ulps
@@ -444,14 +459,36 @@ class TestSweepSequences:
                                           near_first)
 
     def test_sweep_twists_equal_extract_twists_on_walks(self):
+        # random 4-adjacent walks, the one-node walk among them, each cut
+        # three ways into id runs: one-node pieces, cuts between equal
+        # steps and back-and-forth reversals
         rng = random.Random(12)
+        rows = 5
         steps = ((1, 0), (0, 1), (-1, 0), (0, -1))
         for n in range(1, 60):
-            seq = [(rng.randrange(5), rng.randrange(5))]
+            seq = [(rng.randrange(5), rng.randrange(rows))]
+            step = rng.choice(steps)
             for _ in range(n - 1):
-                dx, dy = rng.choice(steps)
-                seq.append((seq[-1][0] + dx, seq[-1][1] + dy))
+                x, y = seq[-1]
+                back = (-step[0], -step[1])
+                step = rng.choice([s for s in (step, step, back, *steps)
+                                   if 0 <= y + s[1] < rows])
+                seq.append((x + step[0], y + step[1]))
             assert extract_twists(seq) == oracles.extract_twists(seq)
+            ids = [x * rows + y for x, y in seq]
+            for _ in range(3):
+                pieces, first = [], 0
+                for i in range(1, n + 1):
+                    # the piece of nodes first to i - 1 ends at the walk's
+                    # end, where its step changes, or at random
+                    if (i == n or rng.random() < 0.3 or i - first > 1 and
+                            ids[i] - ids[i - 1] != ids[i - 1] - ids[i - 2]):
+                        by = (ids[first + 1] - ids[first] if i - first > 1
+                              else rng.choice((1, -1, rows, -rows)))
+                        pieces.append(range(ids[first], ids[i - 1] + by, by))
+                        first = i
+                assert cells(pieces, rows) == tuple(seq)
+                assert run_twists(pieces, rows) == oracles.extract_twists(seq)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_plan_twists_equal_extract_twists(self, k):
@@ -531,7 +568,8 @@ class TestIdRunsAgainstCoordinateOracles:
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_plan_path_makes_no_extract_twists_call(monkeypatch, k):
-    # the plan cuts each robot's twists from the loop's turns
+    # the plan reads each robot's twists off its sweep's id runs
+    # (run_twists)
     def refused(sequence):
         raise AssertionError("extract_twists called on the plan path")
 

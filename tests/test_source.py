@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import turncover
 
 SOURCE = Path(turncover.__file__).parent
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
 def _self_calls(tree: ast.Module) -> list[str]:
@@ -106,3 +108,48 @@ def test_src_imports_only_at_module_level():
                           for name in names
                           if name.split(".")[0] == "dataclasses"]
     assert offenders == []
+
+
+def _names(paths) -> set[str]:
+    """Every name that the modules ``paths`` read: ``Name`` ids,
+    ``Attribute`` attributes and import aliases."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update((node.name, node.asname))
+    return names
+
+
+def test_every_definition_is_named_by_a_caller():
+    # a function, method or class that neither the package nor the
+    # benchmark names is dead code. Special methods are called by the
+    # interpreter and an override by its base class, so those are exempt
+    perfbench = sorted(PERFBENCH.glob("*.py"))
+    assert perfbench
+    named = _names([*SOURCE.glob("*.py"), *perfbench])
+    dead = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = (turncover if path.stem == "__init__" else
+                  importlib.import_module(f"turncover.{path.stem}"))
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                bases = getattr(module, cls.name).__mro__[1:]
+                exempt.update(
+                    id(func) for func in cls.body
+                    if isinstance(func, ast.FunctionDef)
+                    and (func.name.startswith("__")
+                         and func.name.endswith("__")
+                         or any(func.name in vars(base) for base in bases)))
+        dead += [f"{path.name}:{node.lineno} {node.name}"
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                 and node.name not in named and id(node) not in exempt]
+    assert dead == []
