@@ -491,14 +491,14 @@ def balance_partition(
             # building a LoopCostModel (see ROADMAP, rejected
             # simplifications)
             runs = loop.arc(robot.anchored, size)
-            twists = run_twists(runs, rows)
+            twists = run_twists(runs)
             t = path_time(twists, params, loop.resolution_d)
         else:
             t, near_first = model.sweep_order(arc_start, arc_length,
                                               robot.anchored)
             runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
                                  near_first)
-            twists = run_twists(runs, rows)
+            twists = run_twists(runs)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,

@@ -133,7 +133,7 @@ def run_scenario(scenario: Scenario) -> RunReport:
         # the plan's component is the whole graph unless the map splits,
         # and then the component search words the error
         full = grid_map.build_spanning_graph(scenario.grid)
-        if len(full.ids) != len(result.span.ids):
+        if full.free.count(1) != result.span.free.count(1):
             grid_map.connected_component(full, [])
     turns = {}
     for method in TREE_METHODS:

@@ -271,7 +271,7 @@ def tiling_from_independent_set(
                 j += stride
                 todo[j] = 0
             runs.append(range(i, j + 1, stride))
-    s, t, r = len(span.ids), len(keep), len(runs)
+    s, t, r = span.free.count(1), len(keep), len(runs)
     if r != s - t:
         raise ValueError(f"tiling identity violated: R={r} S={s} T={t}")
     return BrickSet(tuple(runs), height)

@@ -82,7 +82,7 @@ def cmd_tile(args) -> int:
     grid = _load_map(args)
     span = pipeline.build_component(grid, None)
     bricks = brick_tiling.min_brick_tiling(span)
-    s, r = len(span.ids), len(bricks)
+    s, r = span.free.count(1), len(bricks)
     _emit(args.out, brick_tiling.tiling_to_text(span, bricks))
     print(f"S={s} T={s - r} R={r}")
     return 0

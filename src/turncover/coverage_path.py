@@ -170,22 +170,28 @@ class TwistSet(Record):
 
     ``indices`` point into the source node sequence; the first and last
     node always appear, and a 180-degree reversal contributes the same
-    index twice. ``points`` are the corresponding unit-cell coordinates.
+    index twice. No coordinates are kept: the path between consecutive
+    twists is one straight leg of unit steps, as long as their index
+    difference in unit cells (0 between a reversal's two entries).
     """
 
     indices: tuple[int, ...]
-    points: tuple[Coord, ...]
 
-    def __init__(self, indices: tuple[int, ...],
-                 points: tuple[Coord, ...]) -> None:
-        self.__dict__.update(indices=indices, points=points)
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        self.__dict__["indices"] = indices
 
     @property
     def n(self) -> int:
         return len(self.indices)
 
+    @property
+    def legs(self) -> tuple[int, ...]:
+        """The unit-cell length of each leg, one fewer than the twists."""
+        indices = self.indices
+        return tuple(map(sub, indices[1:], indices))
 
-def run_twists(runs: Sequence[range], rows: int) -> TwistSet:
+
+def run_twists(runs: Sequence[range]) -> TwistSet:
     """Twists of the node sequence that the id runs ``runs`` walk: what
     :func:`extract_twists` finds on its coordinates.
 
@@ -195,36 +201,28 @@ def run_twists(runs: Sequence[range], rows: int) -> TwistSet:
     first one after it, on the run's own step (a one-node run has none).
     A step equal to the one before adds nothing, a reversal adds its
     index twice, and the first and last nodes always count."""
-    indices, points = [0], [divmod(runs[0].start, rows)]
+    indices = [0]
     end, into, last = -1, 0, 0  # the last node so far: index, step in, id
     for run in runs:
-        first = run.start
         if end >= 0:  # the step across the cut, out of the last node
-            step = first - last
+            step = run.start - last
             if step != into and end:
-                point = divmod(last, rows)
                 indices.append(end)
-                points.append(point)
                 if step == -into:
                     indices.append(end)
-                    points.append(point)
             into = step
         if len(run) > 1:  # the run's own step, out of its first node
             step = run.step
             if step != into and end >= 0:
-                point = divmod(first, rows)
                 indices.append(end + 1)
-                points.append(point)
                 if step == -into:
                     indices.append(end + 1)
-                    points.append(point)
             into = step
         end += len(run)
         last = run[-1]
     if end:
         indices.append(end)
-        points.append(divmod(last, rows))
-    return TwistSet(tuple(indices), tuple(points))
+    return TwistSet(tuple(indices))
 
 
 # The walk's move from each quadrant of a mega cell, by the cell's mask:
@@ -353,7 +351,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     if not n:
         raise ValueError("empty node sequence")
     if n == 1:
-        return TwistSet((0,), (seq[0],))
+        return TwistSet((0,))
     ys = [y for _, y in seq]
     m = max(ys) - min(ys) + 2
     code = [x * m + y for x, y in seq]
@@ -368,7 +366,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
         if step[i] == -step[i - 1]:  # a reversal counts twice
             indices.append(i)
     indices.append(n - 1)
-    return TwistSet(tuple(indices), tuple([seq[i] for i in indices]))
+    return TwistSet(tuple(indices))
 
 
 def leg_time(distance: float, params: RobotParams) -> float:
@@ -410,19 +408,19 @@ def turn_term(n_twists: int, params: RobotParams) -> float:
 
 def path_time(twists: TwistSet, params: RobotParams,
               resolution_d: float = 0.5) -> float:
-    """Coverage time of one contiguous path: leg times between
-    consecutive twists plus the rotation term.
+    """Coverage time of one contiguous path: the times of the legs
+    between consecutive twists, each ``leg * resolution_d`` meters long,
+    plus the rotation term.
 
     Summation uses math.fsum so the result does not depend on leg
     order: mirror-image traversals of the same arc time out to the
     exact same float. Legs take few distinct lengths, so each length is
     timed once.
     """
-    times: dict[float, float] = {}
+    times: dict[int, float] = {}
     legs = []
-    for (x1, y1), (x2, y2) in zip(twists.points, twists.points[1:]):
-        distance = math.hypot(x2 - x1, y2 - y1) * resolution_d
-        if distance not in times:
-            times[distance] = leg_time(distance, params)
-        legs.append(times[distance])
+    for leg in twists.legs:
+        if leg not in times:
+            times[leg] = leg_time(leg * resolution_d, params)
+        legs.append(times[leg])
     return math.fsum(legs + [turn_term(twists.n, params)])

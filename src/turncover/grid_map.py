@@ -193,10 +193,10 @@ class SpanningGraph(Record):
         return (0 <= x < self.mega_width and 0 <= y < height
                 and self.free[x * height + y] == 1)
 
-    @cached_property
+    @property
     def ids(self) -> list[int]:
         """Node ids ``x * mega_height + y`` ascending, which is sorted
-        node order."""
+        node order; built on each read and kept nowhere."""
         return list(compress(range(len(self.free)), self.free))
 
     @cached_property

@@ -55,7 +55,7 @@ def build_tree(span: SpanningGraph, method: str, seed: int = 0
         return tree_builder.merge_bricks(bricks, span), bricks
     if method == "dfs":
         return tree_builder.dfs_tree(
-            span, divmod(span.ids[0], span.mega_height)), None
+            span, divmod(span.free.index(1), span.mega_height)), None
     if method == "kruskal":
         return tree_builder.kruskal_tree(span, seed), None
     raise ValueError(f"unknown tree method {method!r}")
@@ -84,14 +84,14 @@ def plan(
             if not grid.is_free(*cell):
                 raise ValueError(f"start {cell} is not a free map cell")
     span = build_component(grid, starts)
-    size = 4 * len(span.ids)  # the loop visits four unit cells per node
+    size = 4 * span.free.count(1)  # the loop visits four unit cells per node
     if k > size:
         raise ValueError(f"{k} robots exceed loop length {size}")
     tree, bricks = build_tree(span, tree_method, seed)
     if starts:
         start_cell = starts[0]
     else:
-        mx, my = divmod(span.ids[0], span.mega_height)  # the least node
+        mx, my = divmod(span.free.index(1), span.mega_height)  # the least node
         start_cell = (2 * mx, 2 * my)
     loop = coverage_path.circumnavigate(tree, start_cell, grid.resolution_d)
     if starts:

@@ -126,7 +126,7 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
     n = len(free)
     parent = list(range(n))
     masks = bytearray(n)
-    components = len(span.ids)
+    components = span.free.count(1)
 
     if bricks.height != height:
         raise ValueError(f"bricks of height {bricks.height} do not lay out "
@@ -243,7 +243,7 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
             parent[ra] = rb
             _link(masks, a, b, height)
             chosen += 1
-    if chosen != len(span.ids) - 1:
+    if chosen != span.free.count(1) - 1:
         raise DisconnectedGraphError("spanning graph is disconnected")
     return SpanningTree(span, masks)
 

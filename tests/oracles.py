@@ -8,9 +8,9 @@ partition and for each first cut, the feasibility sweep priced one
 coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
 matching, the quadrant-rule walk one unit cell at a time, the loop's
 turns from coordinate steps, each sweep sliced from the loop's nodes,
-the per-pair twist finder and loop turn count, the turn-cost delta of
-one edge on neighbour sets, and the DFS and Kruskal baseline trees as
-coordinate edge lists.
+the per-pair twist finder, path timing on twist coordinates, the loop
+turn count, the turn-cost delta of one edge on neighbour sets, and the
+DFS and Kruskal baseline trees as coordinate edge lists.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from typing import NamedTuple
 
 from turncover.balance import LoopCostModel, RobotStart, arc_cost
 from turncover.brick_tiling import SegmentGraph
-from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
+from turncover.coverage_path import (CoverageLoop, RobotParams, TwistSet,
+                                    leg_time, turn_term)
 from turncover.grid_map import (Coord, DisconnectedGraphError, GridMap,
                                 SpanningGraph)
 from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
@@ -506,7 +507,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     if not seq:
         raise ValueError("empty node sequence")
     if len(seq) == 1:
-        return TwistSet((0,), (seq[0],))
+        return TwistSet((0,))
     headings = [_direction(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
     indices = [0]
     for i in range(1, len(seq) - 1):
@@ -516,8 +517,33 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
             if dout == (-din[0], -din[1]):
                 indices.append(i)
     indices.append(len(seq) - 1)
-    points = tuple(seq[i] for i in indices)
-    return TwistSet(tuple(indices), points)
+    return TwistSet(tuple(indices))
+
+
+def twist_points(sequence: list[Coord] | tuple[Coord, ...]) -> list[Coord]:
+    """The unit cells at the twists of ``sequence``, in twist order."""
+    return [sequence[i] for i in extract_twists(sequence).indices]
+
+
+def twist_legs(sequence: list[Coord] | tuple[Coord, ...]) -> tuple[int, ...]:
+    """Unit-cell length of each leg between consecutive twists, from
+    their coordinates: ``|dx| + |dy|``."""
+    points = twist_points(sequence)
+    return tuple(abs(x2 - x1) + abs(y2 - y1)
+                 for (x1, y1), (x2, y2) in zip(points, points[1:]))
+
+
+def coordinate_path_time(sequence: list[Coord] | tuple[Coord, ...],
+                         params: RobotParams,
+                         resolution_d: float = 0.5) -> float:
+    """Coverage time of ``sequence`` priced on the coordinates of its
+    twist points: each leg ``math.hypot`` of their difference times
+    ``resolution_d`` meters, timed by ``leg_time``, plus the rotation
+    term, summed with ``math.fsum``."""
+    points = twist_points(sequence)
+    legs = [leg_time(math.hypot(x2 - x1, y2 - y1) * resolution_d, params)
+            for (x1, y1), (x2, y2) in zip(points, points[1:])]
+    return math.fsum(legs + [turn_term(len(points), params)])
 
 
 def loop_turn_count(loop: CoverageLoop) -> int:

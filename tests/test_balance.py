@@ -488,7 +488,7 @@ class TestSweepSequences:
                         pieces.append(range(ids[first], ids[i - 1] + by, by))
                         first = i
                 assert cells(pieces, rows) == tuple(seq)
-                assert run_twists(pieces, rows) == oracles.extract_twists(seq)
+                assert run_twists(pieces) == oracles.extract_twists(seq)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_plan_twists_equal_extract_twists(self, k):
@@ -564,6 +564,29 @@ class TestIdRunsAgainstCoordinateOracles:
                 loop, robot.arc_start, robot.arc_length, robot.anchored,
                 near_first))
             assert robot.twists == extract_twists(robot.sequence)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16])
+@pytest.mark.parametrize("anchors", ["spread", "clustered", "pinned"])
+def test_plan_times_equal_coordinate_pricing(k, anchors):
+    # path_time prices each leg from its twists' index difference; the
+    # coordinate pricing takes math.hypot of the twist points' difference.
+    # Legs are straight, so both give the same float, bit for bit
+    grid = bench.generate_random_map((40, 40), 0.1, 7)
+    starts = None
+    if anchors != "spread":
+        loop = pipeline.plan(grid, k=1).loop
+        rng = random.Random(k)
+        starts = [loop.nodes[i] for i in random_anchors(
+            rng, len(loop), k, clustered=anchors == "clustered")]
+        rng.shuffle(starts)
+    result = pipeline.plan(grid, k=k, starts=starts)
+    assert len(result.plan.robots) == k
+    for robot in result.plan.robots:
+        seq = robot.sequence
+        assert robot.twists.legs == oracles.twist_legs(seq)
+        assert robot.time == oracles.coordinate_path_time(
+            seq, PARAMS, result.loop.resolution_d)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])

@@ -34,7 +34,7 @@ def _cases():
     values."""
     grid = GridMap(2, 2, (False, True, False, False), 0.25)
     span = span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)})
-    twists = TwistSet((0, 1, 3), ((0, 0), (0, 1), (1, 0)))
+    twists = TwistSet((0, 1, 3))
     robot = RobotAssignment(0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists,
                             2.5)
     plan = CoveragePlan((robot,))
@@ -50,8 +50,7 @@ def _cases():
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
         (CoverageLoop, ("runs", "rows", "resolution_d"),
          (runs_of(LOOP, 2), 2, 0.25)),
-        (TwistSet, ("indices", "points"),
-         ((0, 1, 3), ((0, 0), (0, 1), (1, 0)))),
+        (TwistSet, ("indices",), ((0, 1, 3),)),
         (RobotStart, ("robot_id", "requested", "anchored"), (1, (2, 3), 4)),
         (RobotAssignment,
          ("robot_id", "anchored", "arc_start", "arc_length", "runs", "rows",
@@ -186,10 +185,12 @@ class TestCachedArrays:
     def test_spanning_graph(self):
         span = span_of(2, 2, {(0, 0), (1, 0), (0, 1)})
         twin = span_of(2, 2, {(0, 0), (1, 0), (0, 1)})
-        for name in ("nodes", "ids", "borders"):
+        for name in ("nodes", "borders"):
             first = getattr(span, name)
             assert getattr(span, name) is first
         assert span.free == b"\1\1\1\0" and span.ids == [0, 1, 2]
+        # the id list is built on each read and never kept on the graph
+        assert "ids" not in vars(span)
         # derived arrays take no part in equality and hashing
         assert span == twin and hash(span) == hash(twin)
 
@@ -332,7 +333,7 @@ def test_plan_and_record_text_build_no_loop_or_sweep_views(k):
     assert _built_views([result.loop]) == ["CoverageLoop.nodes"]
 
 
-@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("k", [1, 4, 16])
 def test_plan_retains_at_most_60_bytes_per_loop_node(k):
     """What a plan leaves allocated, once its garbage is collected, stays
     within 60 bytes per loop node: the loop and the sweeps keep a few
