@@ -10,8 +10,9 @@ the host over minutes falls on both sides alike. For each end-to-end
 metric it prints each side's median and quartiles, the pairs the change
 won (ties count for neither) and whether the change's median is better
 or worse than the parent's by more than the parent's interquartile
-range. Which way is better is read from ``BENCHMARK.json`` beside this
-script. Standard library only.
+range, and then every pair's value on each side. Which way is better is
+read from the ``BENCHMARK.json`` of this script's checkout. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     from pair ``i``, and ``better`` is ``"lower"`` or ``"higher"``.
 
     ``wins`` counts the pairs in which the change read better. ``beyond``
-    is ``"better"`` or ``"worse"`` when the change's median lies that far
-    past the parent's by more than the parent's interquartile range, and
-    ``"within"`` otherwise."""
+    is ``"better"`` or ``"worse"`` when the change's median is so by more
+    than the parent's interquartile range, and ``"within"`` otherwise."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need one parent and one change value per pair")
     if better not in ("lower", "higher"):
@@ -112,13 +112,16 @@ def main(argv: list[str] | None = None) -> int:
         direction = better.get(name.rsplit(".", 1)[-1])
         if direction is None:
             continue
-        s = summarize([r["metrics"][name]["value"] for r in runs["parent"]],
-                      [r["metrics"][name]["value"] for r in runs["change"]],
-                      direction)
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in sides}
+        s = summarize(values["parent"], values["change"], direction)
         cells = [" ".join(f"{v:.6g}" for v in s[side]) for side in sides]
         print(f"{name} ({entry['unit']}, {direction} is better): "
               f"{cells[0]} | {cells[1]} | {s['wins']}/{s['pairs']} | "
               f"{s['beyond']}")
+        for side in sides:
+            print(f"  {side} by pair: "
+                  + " ".join(f"{v:.6g}" for v in values[side]))
     return 0
 
 
