@@ -48,13 +48,10 @@ from .grid_map import Coord, Record
 
 class RobotStart(Record):
     robot_id: int
-    requested: Coord
     anchored: int  # loop index
 
-    def __init__(self, robot_id: int, requested: Coord,
-                 anchored: int) -> None:
-        self.__dict__.update(robot_id=robot_id, requested=requested,
-                             anchored=anchored)
+    def __init__(self, robot_id: int, anchored: int) -> None:
+        self.__dict__.update(robot_id=robot_id, anchored=anchored)
 
 
 class RobotAssignment(Record):
@@ -110,12 +107,12 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
         raise ValueError(f"{len(requested)} robots exceed loop length {size}")
     taken: set[int] = set()
     starts = []
-    for rid, (rx, ry) in enumerate(requested):
-        best = loop.nearest((rx, ry))
+    for rid, cell in enumerate(requested):
+        best = loop.nearest(cell)
         while best in taken:
             best = (best - 1) % size
         taken.add(best)
-        starts.append(RobotStart(rid, (rx, ry), best))
+        starts.append(RobotStart(rid, best))
     return starts
 
 

@@ -94,7 +94,7 @@ def generate_random_map(
         n_free = mw * mh - n_obstacles
         if n_free and len(flood_fill(free, mh, free.index(1))) == n_free:
             occupied_units = coverage_nodes_of(occupied)
-            cells = tuple(
+            cells = bytes(
                 (x, y) in occupied_units
                 for y in range(2 * mh)
                 for x in range(2 * mw)

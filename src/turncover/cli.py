@@ -177,15 +177,14 @@ def cmd_bench(args) -> int:
             (f"random-{seed}",
              bench.generate_random_map(mega, args.obstacle_ratio, seed, args.d))
         )
-    rows = bench.compare_trees(grids, args.seed)
-    reports = []
+    rows, reports = [], []
     for name, grid in grids:
-        for k in args.robots:
-            scenario = bench.Scenario(
-                name=name, grid=grid, k=k, params=params,
-                tree_method=args.method, seed=args.seed,
-            )
-            reports.append(bench.run_scenario(scenario))
+        runs = [bench.run_scenario(bench.Scenario(
+            name=name, grid=grid, k=k, params=params,
+            tree_method=args.method, seed=args.seed)) for k in args.robots]
+        # every run of a map reports the turns of the same three trees
+        rows.append({"map": name, **runs[0].turns_by_method})
+        reports += runs
     text = bench.turns_table(rows) + "\n" + bench.report_table(reports)
     if args.records:
         _write_atomic(

@@ -15,7 +15,7 @@ lives in flat lists and bytearrays instead of tuple-keyed dicts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import compress, repeat
 
@@ -86,12 +86,14 @@ def _take_run(todo: bytearray, height: int, i: int) -> tuple[int, int]:
 class Record:
     """Base of the immutable records: the annotated fields of a subclass,
     in order, are its value. Equality and hashing compare those fields
-    between records of one class, and ``repr`` lists them. Assignment and
-    deletion raise ``AttributeError``; each ``__init__`` sets the fields
-    through ``__dict__``, as :func:`functools.cached_property` sets its
-    values, and they are read from there. Plain classes instead of
-    frozen dataclasses, because ``import dataclasses`` and generating
-    the methods cost far more than planning a small map."""
+    between records of one class, and ``repr`` lists them; a plan is
+    records all the way down, from the map to the tree, so two plans of
+    one input compare and hash equal. Assignment and deletion raise
+    ``AttributeError``; each ``__init__`` sets the fields through
+    ``__dict__``, as :func:`functools.cached_property` sets its values,
+    and they are read from there. Plain classes instead of frozen
+    dataclasses, because ``import dataclasses`` and generating the
+    methods cost far more than planning a small map."""
 
     _fields: tuple[str, ...] = ()
 
@@ -124,14 +126,15 @@ class Record:
 
 
 class GridMap(Record):
-    """Occupancy grid of unit cells; ``cells[y * width + x]`` is True when occupied."""
+    """Occupancy grid of unit cells: ``cells[y * width + x]`` is 1 when
+    occupied, 0 when free; any sequence of 0/1 or bools is kept as bytes."""
 
     width: int
     height: int
-    cells: tuple[bool, ...]
+    cells: bytes
     resolution_d: float
 
-    def __init__(self, width: int, height: int, cells: tuple[bool, ...],
+    def __init__(self, width: int, height: int, cells: Sequence[int],
                  resolution_d: float = 0.5) -> None:
         if width < 1 or height < 1:
             raise MapFormatError("map dimensions must be at least 1x1")
@@ -139,6 +142,12 @@ class GridMap(Record):
             raise MapFormatError(
                 f"cell count {len(cells)} does not match {width}x{height}"
             )
+        try:
+            cells = bytes(cells)
+        except (TypeError, ValueError) as exc:
+            raise MapFormatError(f"cells must be 0 or 1: {exc}") from exc
+        if cells.translate(None, b"\0\1"):  # a byte other than 0 and 1
+            raise MapFormatError("cells must be 0 or 1")
         if not resolution_d > 0:
             raise MapFormatError("resolution_d must be positive")
         self.__dict__.update(width=width, height=height, cells=cells,
@@ -148,21 +157,18 @@ class GridMap(Record):
         """Cells outside the map count as occupied."""
         if not (0 <= x < self.width and 0 <= y < self.height):
             return True
-        return self.cells[y * self.width + x]
+        return self.cells[y * self.width + x] == 1
 
     def is_free(self, x: int, y: int) -> bool:
         return not self.is_occupied(x, y)
 
     def free_count(self) -> int:
-        return sum(1 for c in self.cells if not c)
+        return self.cells.count(0)
 
     def occupied_cells(self) -> list[Coord]:
-        return [
-            (x, y)
-            for y in range(self.height)
-            for x in range(self.width)
-            if self.cells[y * self.width + x]
-        ]
+        width = self.width
+        return [(i % width, i // width)
+                for i in compress(range(len(self.cells)), self.cells)]
 
 
 class SpanningGraph(Record):
@@ -282,10 +288,10 @@ def _parse_grid01(text: str, resolution_d: float) -> GridMap:
 
 
 def _classify_rows(rows: list[str], width: int, free: frozenset[str],
-                   occupied: frozenset[str]) -> tuple[bool, ...]:
-    """Row-major occupancy of the glyph rows: True for a glyph in
-    ``occupied``, False for one in ``free``. Rows are checked in order,
-    each for its length and then for its first unknown glyph."""
+                   occupied: frozenset[str]) -> bytes:
+    """Row-major occupancy bytes of the glyph rows: 1 for a glyph in
+    ``occupied``, 0 for one in ``free``. Rows are checked in order, each
+    for its length and then for its first unknown glyph."""
     known = free | occupied
     for y, row in enumerate(rows):
         if len(row) != width:
@@ -293,7 +299,8 @@ def _classify_rows(rows: list[str], width: int, free: frozenset[str],
         if not known.issuperset(row):
             glyph = next(g for g in row if g not in known)
             raise MapFormatError(f"unknown glyph {glyph!r} in row {y}")
-    return tuple(map(occupied.__contains__, "".join(rows)))
+    table = bytes(chr(b) in occupied for b in range(256))
+    return "".join(rows).encode("ascii").translate(table)  # glyphs: ASCII
 
 
 def build_spanning_graph(grid: GridMap) -> SpanningGraph:
@@ -310,7 +317,7 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
     width, height = grid.width, grid.height
     mega_height = (height + 1) // 2
     pairs = width // 2  # mega columns whose two unit columns exist
-    cells = bytes(grid.cells)
+    cells = grid.cells
     free = bytearray(((width + 1) // 2) * mega_height)
     for my in range(height // 2):
         top = 2 * my * width

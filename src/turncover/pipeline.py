@@ -97,10 +97,7 @@ def plan(
     if starts:
         anchored = balance.anchor_starts(loop, starts)
     else:
-        spread = [i * size // k for i in range(k)]
-        anchored = [
-            RobotStart(i, coverage_path.cells(loop.arc(a, 1), loop.rows)[0], a)
-            for i, a in enumerate(spread)]
+        anchored = [RobotStart(i, i * size // k) for i in range(k)]
     robot_plan = balance.balance_partition(loop, anchored, params)
     return PlanResult(
         span=span,

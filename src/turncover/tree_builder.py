@@ -19,6 +19,7 @@ from .grid_map import (
     Coord,
     DisconnectedGraphError,
     Edge,
+    Record,
     SpanningGraph,
     find,
 )
@@ -28,25 +29,23 @@ from .grid_map import (
 RIGHT, DOWN, LEFT, UP = 1, 2, 4, 8
 
 
-class SpanningTree:
+class SpanningTree(Record):
     """Undirected tree over the nodes of the spanning graph ``span``.
 
     ``flat_masks`` holds, by node id ``x * span.mega_height + y`` (0 at
     ids off the tree), the bits (``RIGHT``, ``DOWN``, ``LEFT``, ``UP``)
     of the tree edges that leave each node; the walk and the turn count
     read it, and ``edges`` is derived from it on first use. The three
-    builders below write the masks and check the tree they build;
-    :func:`circumnavigate` rejects any masks whose walk does not close
-    after exactly 4N steps.
+    builders below fill a ``bytearray``, which the record keeps as
+    ``bytes``, and check the tree they build; :func:`circumnavigate`
+    rejects any masks whose walk does not close after exactly 4N steps.
     """
 
-    def __init__(self, span: SpanningGraph, flat_masks: bytearray):
-        self.span, self.flat_masks = span, flat_masks
+    span: SpanningGraph
+    flat_masks: bytes
 
-    @property
-    def nodes(self) -> frozenset[Coord]:
-        """The span's nodes as ``(x, y)`` mega cells."""
-        return self.span.nodes
+    def __init__(self, span: SpanningGraph, flat_masks: bytes) -> None:
+        self.__dict__.update(span=span, flat_masks=bytes(flat_masks))
 
     @cached_property
     def edges(self) -> frozenset[Edge]:

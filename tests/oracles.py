@@ -421,9 +421,9 @@ def quadrant_walk(tree: SpanningTree, start: Coord,
     rows, cols = 2 * height, 2 * (len(masks) // height)
     sx, sy = start
     if not (0 <= sx < cols and 0 <= sy < rows
-            and (sx >> 1, sy >> 1) in tree.nodes):
+            and (sx >> 1, sy >> 1) in tree.span.nodes):
         raise ValueError(f"start {start} lies outside the tree's mega cells")
-    n = 4 * len(tree.nodes)
+    n = 4 * len(tree.span.nodes)
     nodes = [start]
     x, y = start
     for _ in range(n):

@@ -185,10 +185,7 @@ def test_08_partition_optimality():
                 continue
             k = rng.randint(1, min(3, len(loop)))
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [
-                RobotStart(i, loop.nodes[idx], idx)
-                for i, idx in enumerate(idxs)
-            ]
+            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
             plan = balance_partition(loop, starts, PARAMS)
             assert plan.makespan == brute_force_partition(loop, starts, PARAMS)
             checked += 1

@@ -108,7 +108,6 @@ class TestAnchorStarts:
                 starts = anchor_starts(twin, requested)
                 assert "nodes" not in twin.__dict__
                 assert [s.anchored for s in starts] == scan(loop, requested)
-                assert [s.requested for s in starts] == requested
 
     def test_too_many_robots(self):
         loop = square_loop()
@@ -279,8 +278,8 @@ class TestBalancePartition:
         loop = square_loop()
         half = len(loop) // 2
         starts = [
-            RobotStart(0, loop.nodes[0], 0),
-            RobotStart(1, loop.nodes[half], half),
+            RobotStart(0, 0),
+            RobotStart(1, half),
         ]
         plan = balance_partition(loop, starts, PARAMS)
         t0, t1 = plan.robots[0].time, plan.robots[1].time
@@ -294,8 +293,7 @@ class TestBalancePartition:
         size = len(loop)
         for anchors in ([-1], [size], [size + 1], [0, -1], [0, size],
                         [0, size + 2], [3, 3 + size]):
-            starts = [RobotStart(i, loop.nodes[0], a)
-                      for i, a in enumerate(anchors)]
+            starts = [RobotStart(i, a) for i, a in enumerate(anchors)]
             rid, anchor = len(anchors) - 1, anchors[-1]
             with pytest.raises(ValueError, match=f"robot {rid}: anchor "
                                f"{anchor} is not a loop index"):
@@ -321,10 +319,7 @@ class TestBalancePartition:
                           sorted(rng.sample(range(len(loop)), k))))
         for mega, seed, idxs in cases:
             loop = random_loop(seed, mega=mega, ratio=0.25)
-            starts = [
-                RobotStart(i, loop.nodes[idx], idx)
-                for i, idx in enumerate(idxs)
-            ]
+            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
             plan = balance_partition(loop, starts, PARAMS)
             optimum = brute_force_partition(loop, starts, PARAMS)
             assert plan.makespan == optimum, (mega, seed, idxs)
@@ -335,10 +330,7 @@ class TestBalancePartition:
             loop = random_loop(seed, mega=(3, 2), ratio=0.1)
             k = rng.randint(1, 4)
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [
-                RobotStart(i, loop.nodes[idx], idx)
-                for i, idx in enumerate(idxs)
-            ]
+            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
             plan = balance_partition(loop, starts, PARAMS)
             covered = []
             for robot in plan.robots:
@@ -357,10 +349,7 @@ class TestBalancePartition:
         anchor_sets = [[0], [0, size // 2], [0, size // 3, size // 2]]
         makespans = []
         for idxs in anchor_sets:
-            starts = [
-                RobotStart(i, loop.nodes[idx], idx)
-                for i, idx in enumerate(idxs)
-            ]
+            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
             plan = balance_partition(loop, starts, PARAMS)
             makespans.append(plan.makespan)
         assert makespans[1] <= makespans[0] + 1e-9
@@ -371,8 +360,8 @@ class TestBalancePartition:
         loop = random_loop(13, mega=(3, 2), ratio=0.15)
         size = len(loop)
         starts = [
-            RobotStart(0, loop.nodes[0], 0),
-            RobotStart(1, loop.nodes[size // 2], size // 2),
+            RobotStart(0, 0),
+            RobotStart(1, size // 2),
         ]
         plan = balance_partition(loop, starts, PARAMS)
         model = LoopCostModel(loop, PARAMS)
@@ -400,8 +389,7 @@ class TestBalancePartition:
             loop = random_loop(seed, mega=(3, 3), ratio=0.15)
             k = rng.randint(1, 4)
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [RobotStart(i, loop.nodes[idx], idx)
-                      for i, idx in enumerate(idxs)]
+            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
             for robot in balance_partition(loop, starts, PARAMS).robots:
                 assert robot.time == arc_cost(
                     loop, robot.arc_start, robot.arc_length, robot.anchored,
@@ -510,7 +498,7 @@ class TestSweepSequences:
                                              for i in range(2, k)],
             ]
             for idxs in anchor_sets:
-                starts = [RobotStart(i, loop.nodes[idx], idx)
+                starts = [RobotStart(i, idx)
                           for i, idx in enumerate(sorted(set(idxs)))]
                 for robot in balance_partition(loop, starts, PARAMS).robots:
                     assert robot.twists == extract_twists(robot.sequence)
@@ -554,7 +542,7 @@ class TestIdRunsAgainstCoordinateOracles:
         k = data.draw(st.integers(1, min(5, size)))
         anchors = sorted(data.draw(st.sets(st.integers(0, size - 1),
                                            min_size=k, max_size=k)))
-        starts = [RobotStart(i, loop.nodes[a], a) for i, a in enumerate(anchors)]
+        starts = [RobotStart(i, a) for i, a in enumerate(anchors)]
         model = LoopCostModel(loop, PARAMS)
         for robot in balance_partition(loop, starts, PARAMS).robots:
             # one robot sweeps the whole loop one way from its anchor
@@ -634,8 +622,7 @@ class TestGreedyCuts:
                 idxs = sorted((base + j) % size for j in range(k))
             else:
                 idxs = random_anchors(rng, size, k, clustered=seed % 3 == 1)
-            starts = [RobotStart(i, loop.nodes[a], a)
-                      for i, a in enumerate(idxs)]
+            starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
             opt = balance_partition(loop, starts, params).makespan
             orders = [shortest_gap_first(idxs, size)]
             # any rotation is a valid input; late ones start past size
@@ -752,8 +739,7 @@ def test_partition_work_stays_bounded(monkeypatch):
     size = len(loop)
     for k, bound in ((4, 60_000), (16, 40_000)):
         calls = 0
-        starts = [RobotStart(i, loop.nodes[i * size // k], i * size // k)
-                  for i in range(k)]
+        starts = [RobotStart(i, i * size // k) for i in range(k)]
         balance_partition(loop, starts, PARAMS)
         assert 0 < calls <= bound, k
 
@@ -775,7 +761,7 @@ class TestBottleneckOracle:
         loop = random_loop(seed, mega=mega, ratio=0.1)
         params = random_params(rng)
         idxs = random_anchors(rng, len(loop), k, clustered)
-        starts = [RobotStart(i, loop.nodes[a], a) for i, a in enumerate(idxs)]
+        starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
         plan = balance_partition(loop, starts, params)
         dp = bottleneck_partition(LoopCostModel(loop, params), idxs)
         assert plan.makespan == dp
@@ -798,7 +784,7 @@ def partition_cases(draw):
 
 
 def _plan(loop, params, idxs):
-    starts = [RobotStart(i, loop.nodes[a], a) for i, a in enumerate(idxs)]
+    starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
     return balance_partition(loop, starts, params)
 
 
@@ -838,7 +824,6 @@ class TestPartitionProperties:
         loop, params, idxs = case
         shuffled = list(idxs)
         rand.shuffle(shuffled)
-        starts = [RobotStart(i, loop.nodes[a], a)
-                  for i, a in enumerate(shuffled)]
+        starts = [RobotStart(i, a) for i, a in enumerate(shuffled)]
         assert balance_partition(loop, starts, params).makespan == _plan(
             loop, params, idxs).makespan

@@ -53,7 +53,7 @@ def _reference_loop(tree, start):
             skeleton |= {((cx, cy), "h"), ((cx + 1, cy), "h")}
         else:
             skeleton |= {((cx, cy), "v"), ((cx, cy + 1), "v")}
-    cover = coverage_nodes_of(tree.nodes)
+    cover = coverage_nodes_of(tree.span.nodes)
     adj = {c: [] for c in cover}
     for u in cover:
         for v in ((u[0] + 1, u[1]), (u[0], u[1] + 1)):

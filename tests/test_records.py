@@ -24,15 +24,13 @@ import oracles
 from conftest import bricks_of, runs_of, span_of
 
 LOOP = ((0, 0), (0, 1), (1, 1), (1, 0))  # unit cells of a 2-row grid
-# trees compare by identity, so both calls of _cases share this one
-TREE = SpanningTree(span_of(1, 1, {(0, 0)}), bytearray(1))
 
 
 def _cases():
     """``(class, field names, positional values)`` for every record, built
     afresh on each call so that two calls give equal, not identical,
     values."""
-    grid = GridMap(2, 2, (False, True, False, False), 0.25)
+    grid = GridMap(2, 2, b"\0\1\0\0", 0.25)
     span = span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)})
     twists = TwistSet((0, 1, 3))
     robot = RobotAssignment(0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists,
@@ -40,9 +38,11 @@ def _cases():
     plan = CoveragePlan((robot,))
     return [
         (GridMap, ("width", "height", "cells", "resolution_d"),
-         (2, 2, (False, True, False, False), 0.25)),
+         (2, 2, b"\0\1\0\0", 0.25)),
         (SpanningGraph, ("mega_width", "mega_height", "free"),
          (3, 1, b"\1\0\1")),
+        (SpanningTree, ("span", "flat_masks"),
+         (span_of(2, 1, {(0, 0), (1, 0)}), b"\1\4")),
         (SegmentGraph,
          ("first_cell", "vertical", "horizontal_ids", "adjacency"),
          ([0, 0, 1, 2], b"\0\1\1\0", [0, 3], [(1, 2), (), (), ()])),
@@ -51,14 +51,15 @@ def _cases():
         (CoverageLoop, ("runs", "rows", "resolution_d"),
          (runs_of(LOOP, 2), 2, 0.25)),
         (TwistSet, ("indices",), ((0, 1, 3),)),
-        (RobotStart, ("robot_id", "requested", "anchored"), (1, (2, 3), 4)),
+        (RobotStart, ("robot_id", "anchored"), (1, 4)),
         (RobotAssignment,
          ("robot_id", "anchored", "arc_start", "arc_length", "runs", "rows",
           "twists", "time"),
          (0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists, 2.5)),
         (CoveragePlan, ("robots",), ((robot,),)),
         (PlanResult, ("span", "bricks", "tree", "loop", "plan", "tree_turns"),
-         (span, BrickSet((range(0, 1),), 2), TREE,
+         (span, BrickSet((range(0, 1),), 2),
+          SpanningTree(span_of(1, 1, {(0, 0)}), b"\0"),
           CoverageLoop(runs_of(LOOP, 2), 2), plan, 4)),
         (Scenario,
          ("name", "grid", "k", "starts", "params", "tree_method", "seed"),
@@ -77,6 +78,7 @@ UNHASHABLE = (SegmentGraph, RunReport)  # they hold lists or a dict
 CHANGED = {
     GridMap: ("resolution_d", 0.5),
     SpanningGraph: ("mega_width", 4),
+    SpanningTree: ("flat_masks", b"\1\0"),
     SegmentGraph: ("horizontal_ids", [0]),
     BrickSet: ("height", 3),
     RobotParams: ("omega", 0.5),
@@ -161,6 +163,7 @@ class TestChecks:
         (2, 1, (False,)), (1, 1, (False, False)),  # cell count
         (1, 1, (False,), 0.0), (1, 1, (False,), -0.5),
         (1, 1, (False,), math.nan),  # resolution not positive
+        (1, 1, (2,)), (1, 1, b"\x02"), (1, 1, (None,)),  # not 0 or 1
     ])
     def test_grid_map(self, args):
         with pytest.raises(MapFormatError):
@@ -179,6 +182,19 @@ class TestChecks:
                 Scenario("s", grid, k)
         with pytest.raises(ValueError, match="unknown tree method"):
             Scenario("s", grid, tree_method="aco")
+
+
+def test_map_cells_are_occupancy_bytes():
+    """Bools, 0/1 ints and bytes give one map, stored as its occupancy
+    bytes; both file formats parse to those bytes too."""
+    grids = [GridMap(2, 2, cells) for cells in
+             ((False, True, True, False), [0, 1, 1, 0], b"\0\1\1\0")]
+    parsed = [grid_map.parse_map("01\n10\n", "grid01"),
+              grid_map.parse_map("type octile\nheight 2\nwidth 2\nmap\n"
+                                 ".@\n@.\n", "movingai")]
+    for grid in grids + parsed:
+        assert type(grid.cells) is bytes and grid.cells == b"\0\1\1\0"
+        assert grid == grids[0] and hash(grid) == hash(grids[0])
 
 
 class TestCachedArrays:
@@ -235,9 +251,8 @@ class TestLazyViews:
             assert brick == tuple((i // height, i % height) for i in run)
 
 
-# the coordinate view each record derives on first access; a tree's
-# ``nodes`` are its span's
-VIEWS = {SpanningGraph: "nodes", BrickSet: "bricks", SpanningTree: "nodes",
+# the coordinate view each record derives on first access
+VIEWS = {SpanningGraph: "nodes", BrickSet: "bricks", SpanningTree: "edges",
          CoverageLoop: "nodes", RobotAssignment: "sequence"}
 
 
@@ -299,23 +314,24 @@ def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
 
 
 def test_comparing_and_hashing_plans_builds_no_coordinate_views():
-    """Equality, hashing and ``repr`` read the flags and the id runs, so
-    they build no coordinate view of the spans or the tilings."""
+    """Two plans of one input compare and hash equal, with every tree
+    method: they are records all the way down. Equality, hashing and
+    ``repr`` read the flags, the masks and the id runs, so they build no
+    coordinate view."""
     grid = bench.generate_random_map((12, 10), 0.15, 4)
-    first, second = pipeline.plan(grid, 2), pipeline.plan(grid, 2)
-    assert first.span == second.span and first.bricks == second.bricks
-    assert hash(first.span) == hash(second.span)
-    assert hash(first.bricks) == hash(second.bricks)
-    assert first.loop == second.loop and first.plan == second.plan
-    assert hash(first.loop) == hash(second.loop)
-    assert hash(first.plan) == hash(second.plan)
-    assert first != second  # the trees compare by identity
-    for result in (first, second):
-        hash(result), repr(result)
-    assert not _built_views([
-        record for result in (first, second)
-        for record in (result.span, result.bricks, result.tree, result.loop,
-                       *result.plan.robots)])
+    for method in pipeline.TREE_METHODS:
+        first = pipeline.plan(grid, 2, tree_method=method)
+        second = pipeline.plan(grid, 2, tree_method=method)
+        assert first.tree is not second.tree
+        assert first == second and hash(first) == hash(second)
+        assert hash(first.tree) == hash(second.tree)
+        for result in (first, second):
+            repr(result)
+        assert not _built_views([
+            record for result in (first, second)
+            for record in (result.span, result.bricks, result.tree,
+                           result.loop, *result.plan.robots)
+            if record is not None]), method
 
 
 @pytest.mark.parametrize("k", [1, 4])

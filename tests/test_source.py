@@ -153,3 +153,22 @@ def test_every_definition_is_named_by_a_caller():
                                       ast.ClassDef))
                  and node.name not in named and id(node) not in exempt]
     assert dead == []
+
+
+def test_every_class_is_a_record_or_an_error():
+    # a plain class holding data would bring back a mutable record that
+    # compares by identity; the two allowed ones are a cost evaluator
+    # and argparse's parser, which hold no plan data
+    allowed = {"balance.LoopCostModel", "cli._Parser"}
+    others = []
+    for path in sorted(SOURCE.glob("*.py")):
+        module = (turncover if path.stem == "__init__" else
+                  importlib.import_module(f"turncover.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = getattr(module, node.name)
+            if not (issubclass(cls, (turncover.grid_map.Record, Exception))
+                    or f"{path.stem}.{node.name}" in allowed):
+                others.append(f"{path.name}:{node.lineno} {node.name}")
+    assert others == []
