@@ -50,9 +50,6 @@ class RobotStart(Record):
     robot_id: int
     anchored: int  # loop index
 
-    def __init__(self, robot_id: int, anchored: int) -> None:
-        self.__dict__.update(robot_id=robot_id, anchored=anchored)
-
 
 class RobotAssignment(Record):
     """One robot's arc of the loop and its sweep: ``runs`` are the id
@@ -69,13 +66,6 @@ class RobotAssignment(Record):
     twists: TwistSet
     time: float
 
-    def __init__(self, robot_id: int, anchored: int, arc_start: int,
-                 arc_length: int, runs: tuple[range, ...], rows: int,
-                 twists: TwistSet, time: float) -> None:
-        self.__dict__.update(robot_id=robot_id, anchored=anchored,
-                             arc_start=arc_start, arc_length=arc_length,
-                             runs=runs, rows=rows, twists=twists, time=time)
-
     @cached_property
     def sequence(self) -> tuple[Coord, ...]:
         return cells(self.runs, self.rows)
@@ -83,9 +73,6 @@ class RobotAssignment(Record):
 
 class CoveragePlan(Record):
     robots: tuple[RobotAssignment, ...]
-
-    def __init__(self, robots: tuple[RobotAssignment, ...]) -> None:
-        self.__dict__["robots"] = robots
 
     @property
     def makespan(self) -> float:
@@ -440,66 +427,63 @@ def balance_partition(
         raise ValueError("robot anchors must be distinct loop indices")
 
     k = len(anchors)
-    if k == 1:
-        arcs = [(anchors[0], size)]
-    else:
-        model = LoopCostModel(loop, params)
-        # the greedy sweep scans the first gap: make it the shortest
-        gaps = [(anchors[(i + 1) % k] - anchors[i]) % size for i in range(k)]
-        r = gaps.index(min(gaps))
-        ordered = ordered[r:] + ordered[:r]
-        anchors = anchors[r:] + [a + size for a in anchors[:r]]
-        # upper bound: every arc runs from its anchor to just before the next
-        cuts = [a - 1 for a in anchors[1:]] + [anchors[0] + size - 1]
-        ub = _cut_makespan(model, anchors, cuts)
-        lb, step = 0.0, 0.0
-        firsts: Iterable[int] = range(anchors[0], anchors[1])
-        # Probe below ub by twice the last gain (just below ub after a
-        # failure) but never below the midpoint of the bounds. A first cut
-        # that fails at one budget fails at every lower one, so each probe
-        # tries only the survivors of the last feasible one.
-        while lb < ub:
-            budget = min(max(ub - step, (lb + ub) / 2), math.nextafter(ub, 0))
-            found, over, survivors = _greedy_cuts(model, anchors, budget,
-                                                  firsts)
-            if found is None:
-                # The first cuts left out failed at a budget of at least ub,
-                # and over <= ub: at budget ub the sweep would succeed with
-                # the first cut of the last feasible probe, so it cannot
-                # repeat this one.
-                lb, step = over, 0.0
-            else:
-                last = ub
-                cuts, ub = found, _cut_makespan(model, anchors, found)
-                step = 2 * (last - ub)
-                firsts = survivors
-        arcs = [
-            ((cuts[i - 1] + 1) % size, (cuts[i] - cuts[i - 1] - 1) % size + 1)
-            for i in range(k)
-        ]
-
     rows = loop.rows
-    assignments = []
-    for (arc_start, arc_length), robot in zip(arcs, ordered):
-        if k == 1:
-            # the whole loop one way from the anchor; reversing only adds.
-            # Its twists are read off the sweep's runs by run_twists, as
-            # every robot's are, and path_time prices them without
-            # building a LoopCostModel (see ROADMAP, rejected
-            # simplifications)
-            runs = loop.arc(robot.anchored, size)
-            twists = run_twists(runs)
-            t = path_time(twists, params, loop.resolution_d)
+    if k == 1:
+        # the whole loop one way from the anchor; reversing only adds.
+        # Its twists are read off the sweep's runs by run_twists, as
+        # every robot's are, and path_time prices them without
+        # building a LoopCostModel (see ROADMAP, rejected
+        # simplifications)
+        robot = ordered[0]
+        runs = loop.arc(robot.anchored, size)
+        twists = run_twists(runs)
+        t = path_time(twists, params, loop.resolution_d)
+        return CoveragePlan((RobotAssignment(
+            robot.robot_id, robot.anchored, robot.anchored, size, runs, rows,
+            twists, t),))
+
+    model = LoopCostModel(loop, params)
+    # the greedy sweep scans the first gap: make it the shortest
+    gaps = [(anchors[(i + 1) % k] - anchors[i]) % size for i in range(k)]
+    r = gaps.index(min(gaps))
+    ordered = ordered[r:] + ordered[:r]
+    anchors = anchors[r:] + [a + size for a in anchors[:r]]
+    # upper bound: every arc runs from its anchor to just before the next
+    cuts = [a - 1 for a in anchors[1:]] + [anchors[0] + size - 1]
+    ub = _cut_makespan(model, anchors, cuts)
+    lb, step = 0.0, 0.0
+    firsts: Iterable[int] = range(anchors[0], anchors[1])
+    # Probe below ub by twice the last gain (just below ub after a
+    # failure) but never below the midpoint of the bounds. A first cut
+    # that fails at one budget fails at every lower one, so each probe
+    # tries only the survivors of the last feasible one.
+    while lb < ub:
+        budget = min(max(ub - step, (lb + ub) / 2), math.nextafter(ub, 0))
+        found, over, survivors = _greedy_cuts(model, anchors, budget, firsts)
+        if found is None:
+            # The first cuts left out failed at a budget of at least ub,
+            # and over <= ub: at budget ub the sweep would succeed with
+            # the first cut of the last feasible probe, so it cannot
+            # repeat this one.
+            lb, step = over, 0.0
         else:
-            t, near_first = model.sweep_order(arc_start, arc_length,
-                                              robot.anchored)
-            runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
-                                 near_first)
-            twists = run_twists(runs)
+            last = ub
+            cuts, ub = found, _cut_makespan(model, anchors, found)
+            step = 2 * (last - ub)
+            firsts = survivors
+
+    assignments = []
+    for i, robot in enumerate(ordered):
+        arc_start = (cuts[i - 1] + 1) % size
+        arc_length = (cuts[i] - cuts[i - 1] - 1) % size + 1
+        t, near_first = model.sweep_order(arc_start, arc_length,
+                                          robot.anchored)
+        runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
+                             near_first)
         assignments.append(
             RobotAssignment(
                 robot.robot_id, robot.anchored, arc_start, arc_length,
-                runs, rows, twists, t,
+                runs, rows, run_twists(runs), t,
             )
         )
     assignments.sort(key=lambda r: r.robot_id)

@@ -47,16 +47,6 @@ class RunReport(Record):
     min_time: float
     planning_seconds: float
 
-    def __init__(self, scenario: str, tree_method: str, k: int,
-                 brick_count: int, loop_length: int,
-                 turns_by_method: dict[str, int], max_time: float,
-                 min_time: float, planning_seconds: float) -> None:
-        self.__dict__.update(scenario=scenario, tree_method=tree_method, k=k,
-                             brick_count=brick_count, loop_length=loop_length,
-                             turns_by_method=turns_by_method,
-                             max_time=max_time, min_time=min_time,
-                             planning_seconds=planning_seconds)
-
     def record_line(self) -> str:
         """Machine-readable record; field order is fixed and documented in
         the README. Wall time is excluded so records stay reproducible."""

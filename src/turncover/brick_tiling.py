@@ -60,13 +60,6 @@ class SegmentGraph(Record):
     horizontal_ids: list[int]
     adjacency: list[Sequence[int]]
 
-    def __init__(self, first_cell: list[int], vertical: bytes,
-                 horizontal_ids: list[int],
-                 adjacency: list[Sequence[int]]) -> None:
-        self.__dict__.update(first_cell=first_cell, vertical=vertical,
-                             horizontal_ids=horizontal_ids,
-                             adjacency=adjacency)
-
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The ``(horizontal id, vertical id)`` pairs, sorted."""
@@ -89,9 +82,6 @@ class BrickSet(Record):
 
     runs: tuple[Sequence[int], ...]
     height: int
-
-    def __init__(self, runs: tuple[Sequence[int], ...], height: int) -> None:
-        self.__dict__.update(runs=runs, height=height)
 
     @cached_property
     def bricks(self) -> tuple[tuple[Coord, ...], ...]:

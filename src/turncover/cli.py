@@ -230,11 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
                            default="grid01")
         p.add_argument("--d", type=float, default=0.5,
                        help="tool width / unit cell size in meters")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    def kinematics(p):
         p.add_argument("--vmax", type=float, default=0.5)
         p.add_argument("--omega", type=float, default=0.8)
         p.add_argument("--accel", type=float, default=0.6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p_tile = sub.add_parser("tile", help="minimum brick tiling")
     common(p_tile)
@@ -244,11 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_tree)
     p_tree.add_argument("--method", choices=pipeline.TREE_METHODS,
                         default="tmstc")
+    p_tree.add_argument("--seed", type=int, default=0)
     p_tree.add_argument("--svg", default=None)
     p_tree.set_defaults(func=cmd_tree)
 
     p_plan = sub.add_parser("plan", help="multi-robot coverage plan")
     common(p_plan)
+    kinematics(p_plan)
+    p_plan.add_argument("--seed", type=int, default=0)
     p_plan.add_argument("--robots", type=int, default=1)
     p_plan.add_argument("--start", action="append", type=_int_pair,
                         help="robot start cell x,y (repeatable)")
@@ -259,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="experiment harness")
     common(p_bench, needs_map=False)
+    kinematics(p_bench)
+    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--maps", type=int, default=5,
                          help="number of generated random maps")
     p_bench.add_argument("--mega", type=_int_pair, default=(10, 10),

@@ -59,10 +59,6 @@ class CoverageLoop(Record):
     rows: int
     resolution_d: float
 
-    def __init__(self, runs: tuple[range, ...], rows: int,
-                 resolution_d: float = 0.5) -> None:
-        self.__dict__.update(runs=runs, rows=rows, resolution_d=resolution_d)
-
     @cached_property
     def nodes(self) -> tuple[Coord, ...]:
         return cells(self.runs, self.rows)
@@ -176,9 +172,6 @@ class TwistSet(Record):
     """
 
     indices: tuple[int, ...]
-
-    def __init__(self, indices: tuple[int, ...]) -> None:
-        self.__dict__["indices"] = indices
 
     @property
     def n(self) -> int:

@@ -85,21 +85,36 @@ def _take_run(todo: bytearray, height: int, i: int) -> tuple[int, int]:
 
 class Record:
     """Base of the immutable records: the annotated fields of a subclass,
-    in order, are its value. Equality and hashing compare those fields
-    between records of one class, and ``repr`` lists them; a plan is
-    records all the way down, from the map to the tree, so two plans of
-    one input compare and hash equal. Assignment and deletion raise
-    ``AttributeError``; each ``__init__`` sets the fields through
-    ``__dict__``, as :func:`functools.cached_property` sets its values,
-    and they are read from there. Plain classes instead of frozen
-    dataclasses, because ``import dataclasses`` and generating the
-    methods cost far more than planning a small map."""
+    in order, are its value. The constructor binds positional values,
+    then keywords, to those fields, each exactly once, as a function's
+    parameters are bound; a subclass defines its own ``__init__`` only
+    to check or convert its values. Equality and hashing compare the
+    fields between records of one class, and ``repr`` lists them; a plan
+    is records all the way down, from the map to the tree, so two plans
+    of one input compare and hash equal. Assignment and deletion raise
+    ``AttributeError``; constructors set the fields through ``__dict__``,
+    as :func:`functools.cached_property` sets its values, and they are
+    read from there. Plain classes instead of frozen dataclasses,
+    because ``import dataclasses`` and generating the methods cost far
+    more than planning a small map."""
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]  # the fields keywords must give
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__} takes each of the fields "
+                    f"{', '.join(fields)} once, not {len(values)} values "
+                    f"and the keywords {', '.join(named) or '(none)'}")
+            values += tuple([named[key] for key in rest])
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         values = self.__dict__
@@ -181,11 +196,6 @@ class SpanningGraph(Record):
     mega_width: int
     mega_height: int
     free: bytes
-
-    def __init__(self, mega_width: int, mega_height: int,
-                 free: bytes) -> None:
-        self.__dict__.update(mega_width=mega_width, mega_height=mega_height,
-                             free=free)
 
     @cached_property
     def nodes(self) -> frozenset[Coord]:

@@ -18,12 +18,6 @@ class PlanResult(Record):
     plan: CoveragePlan
     tree_turns: int
 
-    def __init__(self, span: SpanningGraph, bricks: BrickSet | None,
-                 tree: SpanningTree, loop: CoverageLoop, plan: CoveragePlan,
-                 tree_turns: int) -> None:
-        self.__dict__.update(span=span, bricks=bricks, tree=tree, loop=loop,
-                             plan=plan, tree_turns=tree_turns)
-
     @property
     def brick_count(self) -> int:
         return len(self.bricks) if self.bricks is not None else 0

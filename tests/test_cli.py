@@ -218,6 +218,16 @@ class TestBench:
             assert captured.err.startswith("usage error: "), captured.err
             assert captured.err.count("\n") == 1 and captured.out == ""
 
+    def test_options_a_command_never_reads(self, strip_map, capsys):
+        # tile reads no kinematics or seed, and tree no kinematics
+        for argv in (["tile", "--seed", "1"], ["tile", "--vmax", "1"],
+                     ["tree", "--omega", "1"]):
+            assert main(argv + ["--map", strip_map]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                "usage error: unrecognized arguments"), captured.err
+            assert captured.out == ""
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bench", "--help"])

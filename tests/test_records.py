@@ -60,7 +60,7 @@ def _cases():
         (PlanResult, ("span", "bricks", "tree", "loop", "plan", "tree_turns"),
          (span, BrickSet((range(0, 1),), 2),
           SpanningTree(span_of(1, 1, {(0, 0)}), b"\0"),
-          CoverageLoop(runs_of(LOOP, 2), 2), plan, 4)),
+          CoverageLoop(runs_of(LOOP, 2), 2, 0.5), plan, 4)),
         (Scenario,
          ("name", "grid", "k", "starts", "params", "tree_method", "seed"),
          ("s", grid, 2, ((0, 0), (0, 2)), RobotParams(1.0), "dfs", 5)),
@@ -100,6 +100,19 @@ class TestRecord:
         record = cls(*values)
         assert record == cls(**dict(zip(names, values)))
         assert [getattr(record, n) for n in names] == list(values)
+
+    def test_each_field_bound_exactly_once(self, i):
+        cls, names, values = _cases()[i]
+        named = dict(zip(names, values))
+        rest = dict(zip(names[1:], values[1:]))
+        calls = [lambda: cls(*values, values[0]),  # one value too many
+                 lambda: cls(values[0], **named),  # first field given twice
+                 lambda: cls(*values, extra=1)]  # unknown field
+        if cls is not RobotParams:  # each of its fields has a default
+            calls.append(lambda: cls(**rest))  # first field missing
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
 
     def test_dataclass_style_repr(self, i):
         cls, names, values = _cases()[i]
@@ -145,7 +158,6 @@ class TestDefaults:
 
     def test_resolution(self):
         assert GridMap(1, 1, (False,)).resolution_d == 0.5
-        assert CoverageLoop(runs_of(LOOP, 2), 2).resolution_d == 0.5
 
     def test_scenario(self):
         grid = GridMap(2, 2, (False,) * 4)

@@ -53,6 +53,47 @@ def test_no_record_is_built_around_its_init():
     assert offenders == []
 
 
+def _stores_a_parameter(stmt: ast.stmt, params: set[str]) -> bool:
+    """Whether ``stmt`` is ``self.__dict__.update(name=name, ...)`` or
+    ``self.__dict__["name"] = name`` for parameters ``name`` only."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return (ast.unparse(call.func) == "self.__dict__.update"
+                and not call.args and all(
+                    kw.arg in params and isinstance(kw.value, ast.Name)
+                    and kw.value.id == kw.arg for kw in call.keywords))
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+        return (isinstance(target, ast.Subscript)
+                and ast.unparse(target.value) == "self.__dict__"
+                and isinstance(target.slice, ast.Constant)
+                and target.slice.value in params
+                and isinstance(value, ast.Name)
+                and value.id == target.slice.value)
+    return False
+
+
+def test_no_init_only_stores_its_parameters():
+    # Record binds its fields itself: a constructor that only stores its
+    # own parameters unchanged repeats each field name three times
+    offenders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not (isinstance(func, ast.FunctionDef)
+                        and func.name == "__init__"):
+                    continue
+                body = func.body[ast.get_docstring(func) is not None:]
+                params = {arg.arg for arg in (*func.args.args[1:],
+                                              *func.args.kwonlyargs)}
+                if body and all(_stores_a_parameter(stmt, params)
+                                for stmt in body):
+                    offenders.append(f"{path.name}:{func.lineno} {cls.name}")
+    assert offenders == []
+
+
 def test_src_imports_stdlib_only():
     # the runtime needs nothing beyond the standard library; relative
     # imports stay inside the package
