@@ -2,7 +2,6 @@
 
 from .balance import (
     CoveragePlan,
-    RobotStart,
     anchor_starts,
     arc_cost,
     balance_partition,
@@ -19,7 +18,6 @@ from .brick_tiling import (
 from .coverage_path import (
     CoverageLoop,
     RobotParams,
-    TwistSet,
     circumnavigate,
     extract_twists,
     leg_time,

@@ -1,15 +1,16 @@
 """Min-max partition of the circumnavigation loop among k robots.
 
-Each robot owns one contiguous arc of the loop containing its anchored
-start. An arc is covered by sweeping from the anchor to one end,
-reversing, and sweeping to the other end; its cost is the cheaper of
-the two sweep orders under the turn-aware time model, evaluated exactly
-by :class:`LoopCostModel`. The cut points between consecutive anchors
-come from a search on the makespan in which each probe is one greedy
-feasibility sweep. A feasible probe lowers the upper bound to the
-makespan it achieved; an infeasible one raises the lower bound to the
-least arc cost it saw above its budget. The search ends when the bounds
-meet, so the result is the exact optimum, with no tolerance.
+Robot ``i`` starts at loop index ``starts[i]``, its anchor, and owns
+one contiguous arc of the loop containing it. An arc is covered by
+sweeping from the anchor to one end, reversing, and sweeping to the
+other end; its cost is the cheaper of the two sweep orders under the
+turn-aware time model, evaluated exactly by :class:`LoopCostModel`.
+The cut points between consecutive anchors come from a search on the
+makespan in which each probe is one greedy feasibility sweep. A
+feasible probe lowers the upper bound to the makespan it achieved; an
+infeasible one raises the lower bound to the least arc cost it saw
+above its budget. The search ends when the bounds meet, so the result
+is the exact optimum, with no tolerance.
 
 Feasibility is monotone in the budget: a first cut that fails at one
 budget fails at every lower one. So a feasible probe lists every first
@@ -35,7 +36,6 @@ from operator import sub
 from .coverage_path import (
     CoverageLoop,
     RobotParams,
-    TwistSet,
     cells,
     extract_twists,
     leg_time,
@@ -46,16 +46,12 @@ from .coverage_path import (
 from .grid_map import Coord, Record
 
 
-class RobotStart(Record):
-    robot_id: int
-    anchored: int  # loop index
-
-
 class RobotAssignment(Record):
     """One robot's arc of the loop and its sweep: ``runs`` are the id
     runs (as in :class:`CoverageLoop`, ``rows`` unit rows) of the
     concrete traversal, reversal included; ``sequence`` is their
-    coordinate view, derived on first access."""
+    coordinate view, derived on first access; ``twists`` counts the
+    sweep's twists, whose indices :func:`run_twists` reads off ``runs``."""
 
     robot_id: int
     anchored: int
@@ -63,7 +59,7 @@ class RobotAssignment(Record):
     arc_length: int
     runs: tuple[range, ...]
     rows: int
-    twists: TwistSet
+    twists: int
     time: float
 
     @cached_property
@@ -82,8 +78,9 @@ class CoveragePlan(Record):
         return min(r.time for r in self.robots)
 
 
-def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart]:
-    """Map each requested start cell to its nearest loop node.
+def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[int]:
+    """Robot ``i``'s anchor: the loop index of the node nearest to the
+    cell ``requested[i]``.
 
     Ties go to the lowest loop index; a collision sends the later robot
     to the next free index clockwise (against the loop's
@@ -94,12 +91,12 @@ def anchor_starts(loop: CoverageLoop, requested: list[Coord]) -> list[RobotStart
         raise ValueError(f"{len(requested)} robots exceed loop length {size}")
     taken: set[int] = set()
     starts = []
-    for rid, cell in enumerate(requested):
+    for cell in requested:
         best = loop.nearest(cell)
         while best in taken:
             best = (best - 1) % size
         taken.add(best)
-        starts.append(RobotStart(rid, best))
+        starts.append(best)
     return starts
 
 
@@ -409,24 +406,23 @@ def _cut_makespan(model: LoopCostModel, anchors: list[int],
 
 
 def balance_partition(
-    loop: CoverageLoop, starts: list[RobotStart], params: RobotParams
+    loop: CoverageLoop, starts: list[int], params: RobotParams
 ) -> CoveragePlan:
     """Choose one cut per inter-anchor gap minimizing the maximum
-    arc cost, then build per-robot traversals."""
+    arc cost, then build per-robot traversals: robot ``i`` is anchored
+    at loop index ``starts[i]`` and is ``robots[i]`` of the plan."""
     if not starts:
         raise ValueError("at least one robot start is required")
     size = len(loop)
-    for start in starts:
-        if not 0 <= start.anchored < size:
+    for rid, anchor in enumerate(starts):
+        if not 0 <= anchor < size:
             raise ValueError(
-                f"robot {start.robot_id}: anchor {start.anchored} is not a "
-                f"loop index (the loop has {size} nodes)")
-    ordered = sorted(starts, key=lambda s: s.anchored)
-    anchors = [s.anchored for s in ordered]
-    if len(set(anchors)) != len(anchors):
+                f"robot {rid}: anchor {anchor} is not a loop index "
+                f"(the loop has {size} nodes)")
+    if len(set(starts)) != len(starts):
         raise ValueError("robot anchors must be distinct loop indices")
 
-    k = len(anchors)
+    k = len(starts)
     rows = loop.rows
     if k == 1:
         # the whole loop one way from the anchor; reversing only adds.
@@ -434,19 +430,20 @@ def balance_partition(
         # every robot's are, and path_time prices them without
         # building a LoopCostModel (see ROADMAP, rejected
         # simplifications)
-        robot = ordered[0]
-        runs = loop.arc(robot.anchored, size)
+        anchor = starts[0]
+        runs = loop.arc(anchor, size)
         twists = run_twists(runs)
         t = path_time(twists, params, loop.resolution_d)
         return CoveragePlan((RobotAssignment(
-            robot.robot_id, robot.anchored, robot.anchored, size, runs, rows,
-            twists, t),))
+            0, anchor, anchor, size, runs, rows, len(twists), t),))
 
     model = LoopCostModel(loop, params)
+    order = sorted(range(k), key=starts.__getitem__)  # robot ids by anchor
+    anchors = [starts[rid] for rid in order]
     # the greedy sweep scans the first gap: make it the shortest
     gaps = [(anchors[(i + 1) % k] - anchors[i]) % size for i in range(k)]
     r = gaps.index(min(gaps))
-    ordered = ordered[r:] + ordered[:r]
+    order = order[r:] + order[:r]
     anchors = anchors[r:] + [a + size for a in anchors[:r]]
     # upper bound: every arc runs from its anchor to just before the next
     cuts = [a - 1 for a in anchors[1:]] + [anchors[0] + size - 1]
@@ -472,19 +469,14 @@ def balance_partition(
             step = 2 * (last - ub)
             firsts = survivors
 
-    assignments = []
-    for i, robot in enumerate(ordered):
+    assignments = [None] * k
+    for i, rid in enumerate(order):
+        anchor = starts[rid]
         arc_start = (cuts[i - 1] + 1) % size
         arc_length = (cuts[i] - cuts[i - 1] - 1) % size + 1
-        t, near_first = model.sweep_order(arc_start, arc_length,
-                                          robot.anchored)
-        runs = _arc_sequence(loop, arc_start, arc_length, robot.anchored,
-                             near_first)
-        assignments.append(
-            RobotAssignment(
-                robot.robot_id, robot.anchored, arc_start, arc_length,
-                runs, rows, run_twists(runs), t,
-            )
-        )
-    assignments.sort(key=lambda r: r.robot_id)
+        t, near_first = model.sweep_order(arc_start, arc_length, anchor)
+        runs = _arc_sequence(loop, arc_start, arc_length, anchor, near_first)
+        assignments[rid] = RobotAssignment(
+            rid, anchor, arc_start, arc_length, runs, rows,
+            len(run_twists(runs)), t)
     return CoveragePlan(tuple(assignments))

@@ -114,7 +114,7 @@ def plan_record_text(result: pipeline.PlanResult, d: float) -> str:
     parts = []
     for robot in result.plan.robots:
         parts.append(f"robot={robot.robot_id} anchor={robot.anchored} "
-                     f"twists={robot.twists.n} time={robot.time:.3f} "
+                     f"twists={robot.twists} time={robot.time:.3f} "
                      "waypoints=")
         for fixed, first, last, vertical in coverage_path.legs(robot.runs,
                                                                robot.rows):

@@ -161,30 +161,7 @@ def legs(runs: Sequence[range], rows: int
             yield y, x, x + (len(run) - 1) * (step // rows), False
 
 
-class TwistSet(Record):
-    """Stop-and-rotate points of one contiguous path.
-
-    ``indices`` point into the source node sequence; the first and last
-    node always appear, and a 180-degree reversal contributes the same
-    index twice. No coordinates are kept: the path between consecutive
-    twists is one straight leg of unit steps, as long as their index
-    difference in unit cells (0 between a reversal's two entries).
-    """
-
-    indices: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
-
-    @property
-    def legs(self) -> tuple[int, ...]:
-        """The unit-cell length of each leg, one fewer than the twists."""
-        indices = self.indices
-        return tuple(map(sub, indices[1:], indices))
-
-
-def run_twists(runs: Sequence[range]) -> TwistSet:
+def run_twists(runs: Sequence[range]) -> tuple[int, ...]:
     """Twists of the node sequence that the id runs ``runs`` walk: what
     :func:`extract_twists` finds on its coordinates.
 
@@ -215,7 +192,7 @@ def run_twists(runs: Sequence[range]) -> TwistSet:
         last = run[-1]
     if end:
         indices.append(end)
-    return TwistSet(tuple(indices))
+    return tuple(indices)
 
 
 # The walk's move from each quadrant of a mega cell, by the cell's mask:
@@ -327,9 +304,14 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     return CoverageLoop(tuple(runs), rows, resolution_d)
 
 
-def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
-    """Twist at every heading change, plus the path's first and last
-    node; a reversal counts as two twist entries at the same node.
+def extract_twists(sequence: list[Coord] | tuple[Coord, ...]
+                   ) -> tuple[int, ...]:
+    """Indices of the twists of a path into its node sequence: one at
+    every heading change, plus the path's first and last node; a
+    reversal counts as two twist entries at the same node. No
+    coordinates are kept: the path between consecutive twists is one
+    straight leg of unit steps, as long as their index difference (0
+    between a reversal's two entries).
 
     This is the definition of a path's twists. A plan does not call it:
     the partition reads each robot's twists off its sweep's id runs
@@ -344,7 +326,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
     if not n:
         raise ValueError("empty node sequence")
     if n == 1:
-        return TwistSet((0,))
+        return (0,)
     ys = [y for _, y in seq]
     m = max(ys) - min(ys) + 2
     code = [x * m + y for x, y in seq]
@@ -359,7 +341,7 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
         if step[i] == -step[i - 1]:  # a reversal counts twice
             indices.append(i)
     indices.append(n - 1)
-    return TwistSet(tuple(indices))
+    return tuple(indices)
 
 
 def leg_time(distance: float, params: RobotParams) -> float:
@@ -399,11 +381,11 @@ def turn_term(n_twists: int, params: RobotParams) -> float:
     return time
 
 
-def path_time(twists: TwistSet, params: RobotParams,
-              resolution_d: float = 0.5) -> float:
-    """Coverage time of one contiguous path: the times of the legs
-    between consecutive twists, each ``leg * resolution_d`` meters long,
-    plus the rotation term.
+def path_time(twists: tuple[int, ...], params: RobotParams,
+              resolution_d: float) -> float:
+    """Coverage time of one contiguous path from its twist indices: the
+    times of the legs between consecutive twists, each ``leg *
+    resolution_d`` meters long, plus the rotation term.
 
     Summation uses math.fsum so the result does not depend on leg
     order: mirror-image traversals of the same arc time out to the
@@ -412,8 +394,8 @@ def path_time(twists: TwistSet, params: RobotParams,
     """
     times: dict[int, float] = {}
     legs = []
-    for leg in twists.legs:
+    for leg in map(sub, twists[1:], twists):
         if leg not in times:
             times[leg] = leg_time(leg * resolution_d, params)
         legs.append(times[leg])
-    return math.fsum(legs + [turn_term(twists.n, params)])
+    return math.fsum(legs + [turn_term(len(twists), params)])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import balance, brick_tiling, coverage_path, grid_map, tree_builder
-from .balance import CoveragePlan, RobotStart
+from .balance import CoveragePlan
 from .brick_tiling import BrickSet
 from .coverage_path import CoverageLoop, RobotParams
 from .grid_map import Coord, GridMap, Record, SpanningGraph
@@ -91,7 +91,7 @@ def plan(
     if starts:
         anchored = balance.anchor_starts(loop, starts)
     else:
-        anchored = [RobotStart(i, i * size // k) for i in range(k)]
+        anchored = [i * size // k for i in range(k)]
     robot_plan = balance.balance_partition(loop, anchored, params)
     return PlanResult(
         span=span,

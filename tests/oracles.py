@@ -22,10 +22,10 @@ from itertools import compress, groupby
 from operator import itemgetter, ne, sub
 from typing import NamedTuple
 
-from turncover.balance import LoopCostModel, RobotStart, arc_cost
+from turncover.balance import LoopCostModel, arc_cost
 from turncover.brick_tiling import SegmentGraph
-from turncover.coverage_path import (CoverageLoop, RobotParams, TwistSet,
-                                    leg_time, turn_term)
+from turncover.coverage_path import (CoverageLoop, RobotParams, leg_time,
+                                    turn_term)
 from turncover.grid_map import (Coord, DisconnectedGraphError, GridMap,
                                 SpanningGraph)
 from turncover.tree_builder import (DOWN, LEFT, RIGHT, UP, SpanningTree,
@@ -86,12 +86,11 @@ def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
 
 
 def brute_force_partition(
-    loop: CoverageLoop, starts: list[RobotStart], params: RobotParams
+    loop: CoverageLoop, starts: list[int], params: RobotParams
 ) -> float:
     """Exhaustive optimum over all cut placements; oracle for small loops."""
     size = len(loop)
-    ordered = sorted(starts, key=lambda s: s.anchored)
-    anchors = [s.anchored for s in ordered]
+    anchors = sorted(starts)
     if len(starts) == 1:
         return arc_cost(loop, anchors[0], size, anchors[0], params)
     a_virtual = anchors + [anchors[0] + size]
@@ -500,14 +499,15 @@ def _direction(a: Coord, b: Coord) -> Coord:
     return (dx, dy)
 
 
-def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
+def extract_twists(sequence: list[Coord] | tuple[Coord, ...]
+                   ) -> tuple[int, ...]:
     """Twist at every heading change, plus the path's first and last
     node; a reversal counts as two twist entries at the same node."""
     seq = list(sequence)
     if not seq:
         raise ValueError("empty node sequence")
     if len(seq) == 1:
-        return TwistSet((0,))
+        return (0,)
     headings = [_direction(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
     indices = [0]
     for i in range(1, len(seq) - 1):
@@ -517,12 +517,12 @@ def extract_twists(sequence: list[Coord] | tuple[Coord, ...]) -> TwistSet:
             if dout == (-din[0], -din[1]):
                 indices.append(i)
     indices.append(len(seq) - 1)
-    return TwistSet(tuple(indices))
+    return tuple(indices)
 
 
 def twist_points(sequence: list[Coord] | tuple[Coord, ...]) -> list[Coord]:
     """The unit cells at the twists of ``sequence``, in twist order."""
-    return [sequence[i] for i in extract_twists(sequence).indices]
+    return [sequence[i] for i in extract_twists(sequence)]
 
 
 def twist_legs(sequence: list[Coord] | tuple[Coord, ...]) -> tuple[int, ...]:

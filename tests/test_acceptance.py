@@ -11,7 +11,7 @@ import time
 import pytest
 
 from turncover import bench, brick_tiling, grid_map, pipeline
-from turncover.balance import RobotStart, balance_partition
+from turncover.balance import balance_partition
 from turncover.brick_tiling import (
     build_segment_graph,
     max_independent_set,
@@ -185,7 +185,7 @@ def test_08_partition_optimality():
                 continue
             k = rng.randint(1, min(3, len(loop)))
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
+            starts = list(idxs)
             plan = balance_partition(loop, starts, PARAMS)
             assert plan.makespan == brute_force_partition(loop, starts, PARAMS)
             checked += 1

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from turncover import balance, bench, coverage_path, pipeline
 from turncover.balance import (
     LoopCostModel,
-    RobotStart,
     anchor_starts,
     arc_cost,
     balance_partition,
@@ -62,15 +62,15 @@ class TestAnchorStarts:
     def test_exact_hit(self):
         loop = square_loop()
         starts = anchor_starts(loop, [loop.nodes[5]])
-        assert starts[0].anchored == 5
+        assert starts[0] == 5
 
     def test_collision_resolved_to_adjacent_index(self):
         loop = square_loop()
         cell = loop.nodes[5]
         starts = anchor_starts(loop, [cell, cell])
-        assert starts[0].anchored == 5
-        assert starts[1].anchored == 4  # next free index clockwise
-        assert starts[0].anchored != starts[1].anchored
+        assert starts[0] == 5
+        assert starts[1] == 4  # next free index clockwise
+        assert starts[0] != starts[1]
 
     def test_tie_breaks_to_lower_index(self):
         loop = square_loop()
@@ -78,7 +78,7 @@ class TestAnchorStarts:
         # lowest winning index deterministically
         a = anchor_starts(loop, [(100, 100)])
         b = anchor_starts(loop, [(100, 100)])
-        assert a[0].anchored == b[0].anchored
+        assert a[0] == b[0]
 
     def test_matches_nearest_node_scan(self):
         def scan(loop, requested):
@@ -107,12 +107,22 @@ class TestAnchorStarts:
                 twin = CoverageLoop(loop.runs, loop.rows, loop.resolution_d)
                 starts = anchor_starts(twin, requested)
                 assert "nodes" not in twin.__dict__
-                assert [s.anchored for s in starts] == scan(loop, requested)
+                assert starts == scan(loop, requested)
 
     def test_too_many_robots(self):
         loop = square_loop()
         with pytest.raises(ValueError, match="exceed loop length"):
             anchor_starts(loop, [(0, 0)] * (len(loop) + 1))
+
+    def test_anchors_are_plain_loop_indices(self):
+        # robot i's anchor is the i-th int; a robot whose nearest node is
+        # taken steps clockwise past every taken index
+        loop = square_loop()
+        size = len(loop)
+        cell = loop.nodes[1]
+        starts = anchor_starts(loop, [cell, loop.nodes[0], cell, cell])
+        assert starts == [1, 0, size - 1, size - 2]
+        assert all(type(a) is int for a in starts)
 
 
 class TestArcCost:
@@ -277,14 +287,23 @@ class TestBalancePartition:
     def test_two_robots_diametric_symmetry(self):
         loop = square_loop()
         half = len(loop) // 2
-        starts = [
-            RobotStart(0, 0),
-            RobotStart(1, half),
-        ]
+        starts = [0, half]
         plan = balance_partition(loop, starts, PARAMS)
         t0, t1 = plan.robots[0].time, plan.robots[1].time
         assert abs(t0 - t1) < 1e-9
         assert plan.robots[0].arc_length == plan.robots[1].arc_length
+
+    def test_robot_i_is_anchored_at_starts_i(self):
+        # anchors in shuffled order: the plan lists robot i i-th, at its
+        # own anchor, whatever order the anchors lie in along the loop
+        rng = random.Random(9)
+        loop = random_loop(4, mega=(6, 5), ratio=0.1)
+        for k in (1, 2, 5, 9):
+            anchors = rng.sample(range(len(loop)), k)
+            assert k < 5 or anchors != sorted(anchors)
+            plan = balance_partition(loop, anchors, PARAMS)
+            assert [r.robot_id for r in plan.robots] == list(range(k))
+            assert [r.anchored for r in plan.robots] == anchors
 
     def test_anchor_outside_loop_rejected(self):
         # one robot and two: the last robot's anchor is off the loop's
@@ -293,7 +312,7 @@ class TestBalancePartition:
         size = len(loop)
         for anchors in ([-1], [size], [size + 1], [0, -1], [0, size],
                         [0, size + 2], [3, 3 + size]):
-            starts = [RobotStart(i, a) for i, a in enumerate(anchors)]
+            starts = list(anchors)
             rid, anchor = len(anchors) - 1, anchors[-1]
             with pytest.raises(ValueError, match=f"robot {rid}: anchor "
                                f"{anchor} is not a loop index"):
@@ -319,7 +338,7 @@ class TestBalancePartition:
                           sorted(rng.sample(range(len(loop)), k))))
         for mega, seed, idxs in cases:
             loop = random_loop(seed, mega=mega, ratio=0.25)
-            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
+            starts = list(idxs)
             plan = balance_partition(loop, starts, PARAMS)
             optimum = brute_force_partition(loop, starts, PARAMS)
             assert plan.makespan == optimum, (mega, seed, idxs)
@@ -330,7 +349,7 @@ class TestBalancePartition:
             loop = random_loop(seed, mega=(3, 2), ratio=0.1)
             k = rng.randint(1, 4)
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
+            starts = list(idxs)
             plan = balance_partition(loop, starts, PARAMS)
             covered = []
             for robot in plan.robots:
@@ -349,7 +368,7 @@ class TestBalancePartition:
         anchor_sets = [[0], [0, size // 2], [0, size // 3, size // 2]]
         makespans = []
         for idxs in anchor_sets:
-            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
+            starts = list(idxs)
             plan = balance_partition(loop, starts, PARAMS)
             makespans.append(plan.makespan)
         assert makespans[1] <= makespans[0] + 1e-9
@@ -359,10 +378,7 @@ class TestBalancePartition:
         # an equal-node split is dominated by the optimizer's makespan
         loop = random_loop(13, mega=(3, 2), ratio=0.15)
         size = len(loop)
-        starts = [
-            RobotStart(0, 0),
-            RobotStart(1, size // 2),
-        ]
+        starts = [0, size // 2]
         plan = balance_partition(loop, starts, PARAMS)
         model = LoopCostModel(loop, PARAMS)
         half = size // 2
@@ -389,13 +405,15 @@ class TestBalancePartition:
             loop = random_loop(seed, mega=(3, 3), ratio=0.15)
             k = rng.randint(1, 4)
             idxs = sorted(rng.sample(range(len(loop)), k))
-            starts = [RobotStart(i, idx) for i, idx in enumerate(idxs)]
+            starts = list(idxs)
             for robot in balance_partition(loop, starts, PARAMS).robots:
                 assert robot.time == arc_cost(
                     loop, robot.arc_start, robot.arc_length, robot.anchored,
                     PARAMS)
-                assert robot.twists == extract_twists(robot.sequence)
-                assert robot.time == path_time(robot.twists, PARAMS,
+                twists = run_twists(robot.runs)
+                assert twists == extract_twists(robot.sequence)
+                assert robot.twists == len(twists)
+                assert robot.time == path_time(twists, PARAMS,
                                                loop.resolution_d)
 
 
@@ -498,11 +516,12 @@ class TestSweepSequences:
                                              for i in range(2, k)],
             ]
             for idxs in anchor_sets:
-                starts = [RobotStart(i, idx)
-                          for i, idx in enumerate(sorted(set(idxs)))]
+                starts = sorted(set(idxs))
                 for robot in balance_partition(loop, starts, PARAMS).robots:
-                    assert robot.twists == extract_twists(robot.sequence)
-                    assert robot.time == path_time(robot.twists, PARAMS,
+                    twists = run_twists(robot.runs)
+                    assert twists == extract_twists(robot.sequence)
+                    assert robot.twists == len(twists)
+                    assert robot.time == path_time(twists, PARAMS,
                                                    loop.resolution_d)
 
 
@@ -542,7 +561,7 @@ class TestIdRunsAgainstCoordinateOracles:
         k = data.draw(st.integers(1, min(5, size)))
         anchors = sorted(data.draw(st.sets(st.integers(0, size - 1),
                                            min_size=k, max_size=k)))
-        starts = [RobotStart(i, a) for i, a in enumerate(anchors)]
+        starts = list(anchors)
         model = LoopCostModel(loop, PARAMS)
         for robot in balance_partition(loop, starts, PARAMS).robots:
             # one robot sweeps the whole loop one way from its anchor
@@ -551,7 +570,9 @@ class TestIdRunsAgainstCoordinateOracles:
             assert robot.sequence == tuple(oracles.arc_sequence(
                 loop, robot.arc_start, robot.arc_length, robot.anchored,
                 near_first))
-            assert robot.twists == extract_twists(robot.sequence)
+            twists = run_twists(robot.runs)
+            assert twists == extract_twists(robot.sequence)
+            assert robot.twists == len(twists)
 
 
 @pytest.mark.parametrize("k", [1, 4, 16])
@@ -572,7 +593,9 @@ def test_plan_times_equal_coordinate_pricing(k, anchors):
     assert len(result.plan.robots) == k
     for robot in result.plan.robots:
         seq = robot.sequence
-        assert robot.twists.legs == oracles.twist_legs(seq)
+        twists = run_twists(robot.runs)
+        assert robot.twists == len(twists)
+        assert tuple(map(sub, twists[1:], twists)) == oracles.twist_legs(seq)
         assert robot.time == oracles.coordinate_path_time(
             seq, PARAMS, result.loop.resolution_d)
 
@@ -595,7 +618,9 @@ def test_plan_path_makes_no_extract_twists_call(monkeypatch, k):
     for result in plans:
         assert len(result.plan.robots) == k
         for robot in result.plan.robots:
-            assert robot.twists == extract_twists(robot.sequence)
+            twists = run_twists(robot.runs)
+            assert twists == extract_twists(robot.sequence)
+            assert robot.twists == len(twists)
 
 
 class TestGreedyCuts:
@@ -622,7 +647,7 @@ class TestGreedyCuts:
                 idxs = sorted((base + j) % size for j in range(k))
             else:
                 idxs = random_anchors(rng, size, k, clustered=seed % 3 == 1)
-            starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
+            starts = list(idxs)
             opt = balance_partition(loop, starts, params).makespan
             orders = [shortest_gap_first(idxs, size)]
             # any rotation is a valid input; late ones start past size
@@ -739,7 +764,7 @@ def test_partition_work_stays_bounded(monkeypatch):
     size = len(loop)
     for k, bound in ((4, 60_000), (16, 40_000)):
         calls = 0
-        starts = [RobotStart(i, i * size // k) for i in range(k)]
+        starts = [i * size // k for i in range(k)]
         balance_partition(loop, starts, PARAMS)
         assert 0 < calls <= bound, k
 
@@ -761,7 +786,7 @@ class TestBottleneckOracle:
         loop = random_loop(seed, mega=mega, ratio=0.1)
         params = random_params(rng)
         idxs = random_anchors(rng, len(loop), k, clustered)
-        starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
+        starts = list(idxs)
         plan = balance_partition(loop, starts, params)
         dp = bottleneck_partition(LoopCostModel(loop, params), idxs)
         assert plan.makespan == dp
@@ -784,7 +809,7 @@ def partition_cases(draw):
 
 
 def _plan(loop, params, idxs):
-    starts = [RobotStart(i, a) for i, a in enumerate(idxs)]
+    starts = list(idxs)
     return balance_partition(loop, starts, params)
 
 
@@ -824,6 +849,6 @@ class TestPartitionProperties:
         loop, params, idxs = case
         shuffled = list(idxs)
         rand.shuffle(shuffled)
-        starts = [RobotStart(i, a) for i, a in enumerate(shuffled)]
+        starts = list(shuffled)
         assert balance_partition(loop, starts, params).makespan == _plan(
             loop, params, idxs).makespan

@@ -242,29 +242,29 @@ class TestExtractTwists:
     def test_straight_run_endpoints_only(self):
         seq = [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
         twists = extract_twists(seq)
-        assert twists.indices == (0, 4)
+        assert twists == (0, 4)
 
     def test_l_shape_three_twists(self):
         twists = extract_twists([(0, 0), (1, 0), (1, 1)])
-        assert twists.indices == (0, 1, 2)
+        assert twists == (0, 1, 2)
 
     def test_staircase_six_twists_four_turns(self):
         # four interior heading changes plus the two endpoints
         seq = [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
         twists = extract_twists(seq)
-        assert twists.n == 6 + 1  # 5 interior turns here; build a 4-turn path
+        assert len(twists) == 6 + 1  # 5 interior turns here; build a 4-turn path
         seq = [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 2), (4, 2), (5, 2)]
         twists = extract_twists(seq)
-        assert twists.n == 6
-        assert twists.indices[0] == 0 and twists.indices[-1] == len(seq) - 1
+        assert len(twists) == 6
+        assert twists[0] == 0 and twists[-1] == len(seq) - 1
 
     def test_reversal_counts_twice(self):
         twists = extract_twists([(0, 0), (1, 0), (0, 0), (0, 1)])
-        assert twists.indices == (0, 1, 1, 2, 3)
+        assert twists == (0, 1, 1, 2, 3)
 
     def test_single_node(self):
         twists = extract_twists([(3, 3)])
-        assert twists.n == 1
+        assert len(twists) == 1
 
     def test_non_adjacent_rejected(self):
         with pytest.raises(ValueError, match="not 4-adjacent"):
@@ -311,12 +311,12 @@ class TestPathTime:
 
     def test_single_node_no_turn_term(self):
         twists = extract_twists([(0, 0)])
-        assert path_time(twists, PARAMS) == 0.0
+        assert path_time(twists, PARAMS, 0.5) == 0.0
 
     def test_straight_run_of_four_cells(self):
         seq = [(0, 0), (1, 0), (2, 0), (3, 0)]
         twists = extract_twists(seq)
-        assert twists.n == 2
+        assert len(twists) == 2
         assert path_time(twists, PARAMS, 0.5) == pytest.approx(
             3.41667, abs=1e-4
         )
@@ -328,16 +328,16 @@ class TestPathTime:
         # same heading at the junction, but the robot stops there in the
         # two-piece plan: expect the sum of stop-to-stop legs
         t_sum = (
-            path_time(extract_twists(a), PARAMS)
-            + path_time(extract_twists(b), PARAMS)
+            path_time(extract_twists(a), PARAMS, 0.5)
+            + path_time(extract_twists(b), PARAMS, 0.5)
         )
-        t_joined = path_time(extract_twists(joined), PARAMS)
+        t_joined = path_time(extract_twists(joined), PARAMS, 0.5)
         assert t_joined <= t_sum + 1e-12
 
     def test_reversal_adds_rotation(self):
         out_and_back = [(0, 0), (1, 0), (2, 0), (1, 0), (0, 0)]
         twists = extract_twists(out_and_back)
-        assert twists.n == 4  # endpoints + doubled reversal entry
+        assert len(twists) == 4  # endpoints + doubled reversal entry
         expected = 2 * leg_time(1.0, PARAMS) + turn_term(4, PARAMS)
-        assert path_time(twists, PARAMS) == pytest.approx(expected)
+        assert path_time(twists, PARAMS, 0.5) == pytest.approx(expected)
 

@@ -41,3 +41,27 @@ def test_rejects_unpaired_values_and_an_unknown_direction():
         pairs.summarize([], [], "lower")
     with pytest.raises(ValueError, match="better must be"):
         pairs.summarize([1.0], [1.0], "smaller")
+
+
+def test_a_median_worse_by_more_than_the_bound_regressed():
+    parent = [10.0, 10.1, 9.9]
+    assert pairs.judge(parent, [13.0, 13.0, 13.0], "lower", 0.25) == (
+        "regressed")
+    # worse, but by less than a quarter of the parent's median
+    assert pairs.judge(parent, [12.0, 12.4, 12.0], "lower", 0.25) == "held"
+    assert pairs.judge([100.0] * 3, [70.0] * 3, "higher", 0.25) == (
+        "regressed")
+    assert pairs.judge([100.0] * 3, [80.0] * 3, "higher", 0.25) == "held"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    parent = [6.0, 8.0, 10.0, 14.0, 16.0]  # IQR 6 > 0.25 * median 10
+    assert pairs.judge(parent, [9.0, 9.5, 10.0, 10.5, 11.0], "lower",
+                       0.25) == "unresolved"
+    # unless every change run reads better than every parent run
+    assert pairs.judge(parent, [5.0, 4.0, 5.5, 5.0, 4.5], "lower",
+                       0.25) == "held"
+    assert pairs.judge(parent, [17.0] * 5, "higher", 0.25) == "held"
+    assert pairs.judge(parent, [16.0] * 5, "higher", 0.25) == "unresolved"
+    # a wide spread does not hide a median worse by more than the bound
+    assert pairs.judge(parent, [13.0] * 5, "lower", 0.25) == "regressed"

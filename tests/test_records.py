@@ -10,11 +10,11 @@ import tracemalloc
 import pytest
 
 from turncover import bench, cli, grid_map, pipeline
-from turncover.balance import CoveragePlan, RobotAssignment, RobotStart
+from turncover.balance import CoveragePlan, RobotAssignment
 from turncover.bench import RunReport, Scenario
 from turncover.brick_tiling import (BrickSet, SegmentGraph, build_segment_graph,
                                     min_brick_tiling)
-from turncover.coverage_path import CoverageLoop, RobotParams, TwistSet
+from turncover.coverage_path import CoverageLoop, RobotParams
 from turncover.grid_map import (GridMap, MapFormatError, SpanningGraph,
                                 build_spanning_graph)
 from turncover.pipeline import PlanResult
@@ -32,9 +32,7 @@ def _cases():
     values."""
     grid = GridMap(2, 2, b"\0\1\0\0", 0.25)
     span = span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)})
-    twists = TwistSet((0, 1, 3))
-    robot = RobotAssignment(0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists,
-                            2.5)
+    robot = RobotAssignment(0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, 3, 2.5)
     plan = CoveragePlan((robot,))
     return [
         (GridMap, ("width", "height", "cells", "resolution_d"),
@@ -50,12 +48,10 @@ def _cases():
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
         (CoverageLoop, ("runs", "rows", "resolution_d"),
          (runs_of(LOOP, 2), 2, 0.25)),
-        (TwistSet, ("indices",), ((0, 1, 3),)),
-        (RobotStart, ("robot_id", "anchored"), (1, 4)),
         (RobotAssignment,
          ("robot_id", "anchored", "arc_start", "arc_length", "runs", "rows",
           "twists", "time"),
-         (0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, twists, 2.5)),
+         (0, 1, 1, 3, runs_of(LOOP[1:], 2), 2, 3, 2.5)),
         (CoveragePlan, ("robots",), ((robot,),)),
         (PlanResult, ("span", "bricks", "tree", "loop", "plan", "tree_turns"),
          (span, BrickSet((range(0, 1),), 2),
@@ -83,8 +79,6 @@ CHANGED = {
     BrickSet: ("height", 3),
     RobotParams: ("omega", 0.5),
     CoverageLoop: ("rows", 4),
-    TwistSet: ("indices", (0, 2, 3)),
-    RobotStart: ("anchored", 5),
     RobotAssignment: ("rows", 4),
     CoveragePlan: ("robots", ()),
     PlanResult: ("tree_turns", 5),
@@ -377,3 +371,21 @@ def test_plan_retains_at_most_60_bytes_per_loop_node(k):
     finally:
         tracemalloc.stop()
     assert kept <= 60 * len(result.loop), kept / len(result.loop)
+
+
+def test_single_robot_plan_keeps_no_twist_indices():
+    """A robot keeps its twist count, not the twist indices, which
+    ``run_twists`` reads off its runs: a one-robot plan of the 40x40 map
+    keeps at most 29 bytes per loop node, where a tuple of twist indices
+    kept on the robot added about 5."""
+    grid = bench.generate_random_map((40, 40), 0.1, 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = pipeline.plan(grid, 1)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 29 * len(result.loop), kept / len(result.loop)

@@ -8,11 +8,12 @@ each checkout, once per side for each of ``--pairs`` pairs, the parent
 first in even pairs and the change first in odd ones, so that a drift of
 the host over minutes falls on both sides alike. For each end-to-end
 metric it prints each side's median and quartiles, the pairs the change
-won (ties count for neither) and whether the change's median is better
+won (ties count for neither), whether the change's median is better
 or worse than the parent's by more than the parent's interquartile
-range, and then every pair's value on each side. Which way is better is
-read from the ``BENCHMARK.json`` of this script's checkout. Standard
-library only.
+range, the metric's verdict against its bound (see :func:`judge`), and
+then every pair's value on each side. Which way is better and each
+metric's bound are read from the ``BENCHMARK.json`` of this script's
+checkout. Standard library only.
 """
 
 from __future__ import annotations
@@ -57,6 +58,25 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "pairs": len(parent), "beyond": beyond}
 
 
+def judge(parent: list[float], change: list[float], better: str,
+          bound: float) -> str:
+    """The verdict on one metric against its bound, a fraction of the
+    parent's median: ``"regressed"`` when the change's median is worse
+    than the parent's by more than that; otherwise ``"unresolved"`` when
+    the parent's interquartile range exceeds it, unless every run of the
+    change reads better than every run of the parent; otherwise
+    ``"held"``."""
+    s = summarize(parent, change, better)
+    p1, pm, p3 = s["parent"]
+    allowed = bound * abs(pm)
+    sign = -1 if better == "lower" else 1
+    if sign * (pm - s["change"][1]) > allowed:
+        return "regressed"
+    beats = (max(change) < min(parent) if better == "lower"
+             else min(change) > max(parent))
+    return "unresolved" if p3 - p1 > allowed and not beats else "held"
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float
              ) -> tuple[dict, list[str]]:
     """One benchmark run in ``checkout``: its JSON result and its
@@ -86,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    better = {m["name"]: m["better"] for m in json.loads(
+    declared = {m["name"]: m for m in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
@@ -107,18 +127,21 @@ def main(argv: list[str] | None = None) -> int:
     print("record digests equal: "
           f"{digests['parent'] == digests['change']}")
     print("metric parent q1/median/q3 | change q1/median/q3 | wins | "
-          "medians vs parent IQR")
+          "medians vs parent IQR | verdict against the bound")
     for name, entry in runs["parent"][0]["metrics"].items():
-        direction = better.get(name.rsplit(".", 1)[-1])
-        if direction is None:
+        metric = declared.get(name.rsplit(".", 1)[-1])
+        if metric is None:
             continue
+        direction = metric["better"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]]
                   for side in sides}
         s = summarize(values["parent"], values["change"], direction)
+        verdict = judge(values["parent"], values["change"], direction,
+                        metric["bound"])
         cells = [" ".join(f"{v:.6g}" for v in s[side]) for side in sides]
-        print(f"{name} ({entry['unit']}, {direction} is better): "
-              f"{cells[0]} | {cells[1]} | {s['wins']}/{s['pairs']} | "
-              f"{s['beyond']}")
+        print(f"{name} ({entry['unit']}, {direction} is better, bound "
+              f"{metric['bound']:g}): {cells[0]} | {cells[1]} | "
+              f"{s['wins']}/{s['pairs']} | {s['beyond']} | {verdict}")
         for side in sides:
             print(f"  {side} by pair: "
                   + " ".join(f"{v:.6g}" for v in values[side]))
