@@ -16,33 +16,36 @@ from . import (bench, brick_tiling, coverage_path, grid_map, pipeline, render,
 from .coverage_path import RobotParams
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` by a complete file, with the mode a plain write
-    gives: the existing file's, or ``0o666`` less the umask."""
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to stdout when ``path`` is None or ``-``, and in
+    place to a device, pipe or other existing file that is not a regular
+    one. Otherwise replace ``path`` by a complete file, with the mode a
+    plain write gives: the existing file's, or ``0o666`` less the
+    umask."""
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
         umask = os.umask(0)  # reading the umask means setting it
         os.umask(umask)
-        mode = 0o666 & ~umask
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".turncover-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.chmod(tmp, mode)  # mkstemp creates the file owner-only
+        os.chmod(tmp, stat.S_IMODE(mode))  # mkstemp creates it owner-only
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _emit(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_atomic(path, text)
 
 
 class CliError(Exception):
@@ -94,7 +97,7 @@ def cmd_tree(args) -> int:
     tree, bricks = pipeline.build_tree(span, args.method, args.seed)
     _emit(args.out, tree_builder.tree_to_text(tree))
     if args.svg:
-        _write_atomic(args.svg, render.render_svg(grid, bricks, tree))
+        _emit(args.svg, render.render_svg(grid, bricks, tree))
     print(f"edges={len(tree.edges)} turns={tree_builder.tree_turns(tree)}")
     return 0
 
@@ -152,10 +155,8 @@ def cmd_plan(args) -> int:
     )
     _emit(args.out, plan_record_text(result, args.d))
     if args.svg:
-        _write_atomic(
-            args.svg, render.render_svg(grid, result.bricks, result.tree,
-                                        result.plan)
-        )
+        _emit(args.svg, render.render_svg(grid, result.bricks, result.tree,
+                                          result.plan))
     return 0
 
 
@@ -187,10 +188,7 @@ def cmd_bench(args) -> int:
         reports += runs
     text = bench.turns_table(rows) + "\n" + bench.report_table(reports)
     if args.records:
-        _write_atomic(
-            args.records,
-            "".join(r.record_line() + "\n" for r in reports),
-        )
+        _emit(args.records, "".join(r.record_line() + "\n" for r in reports))
     _emit(args.out, text)
     return 0
 

@@ -195,16 +195,13 @@ def run_twists(runs: Sequence[range]) -> tuple[int, ...]:
     return tuple(indices)
 
 
-# The walk's move from each quadrant of a mega cell, by the cell's mask:
-# the heading's own bit (RIGHT, DOWN, LEFT, UP) as a byte code. The bits
-# above the four edge bits play no part, so 16 entries repeat to 256.
-_TOP_LEFT = bytes(UP if mask & UP else RIGHT for mask in range(16)) * 16
-_TOP_RIGHT = bytes(RIGHT if mask & RIGHT else DOWN for mask in range(16)) * 16
-_BOTTOM_RIGHT = bytes(DOWN if mask & DOWN else LEFT for mask in range(16)) * 16
-_BOTTOM_LEFT = bytes(LEFT if mask & LEFT else UP for mask in range(16)) * 16
-# per heading, 1 for the cells whose move has that heading
-_HEADING = {h: bytes(h) + b"\1" + bytes(255 - h)
-            for h in (RIGHT, DOWN, LEFT, UP)}
+# Whether the walk moves vertically out of each quadrant of a mega cell,
+# by the cell's mask, as a 0/1 byte. The bits above the four edge bits
+# play no part, so 16 entries repeat to 256.
+_TOP_LEFT = bytes(bool(mask & UP) for mask in range(16)) * 16
+_TOP_RIGHT = bytes(not mask & RIGHT for mask in range(16)) * 16
+_BOTTOM_RIGHT = bytes(bool(mask & DOWN) for mask in range(16)) * 16
+_BOTTOM_LEFT = bytes(not mask & LEFT for mask in range(16)) * 16
 
 
 def circumnavigate(tree: SpanningTree, start: Coord,
@@ -218,10 +215,12 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     exactly 4N steps has visited 4N distinct cells; any other outcome,
     a step off the grid included, means the tree was not connected.
 
-    The walk goes by straight runs. Each unit cell's move is written
-    once, a mega column at a time, and a run ends at the first cell of
-    its column (down, up) or row (right, left) whose move has another
-    heading. The loop keeps those runs as ranges of unit-cell ids; their
+    The walk goes by straight runs. By the quadrant rule an even unit
+    column is walked only up and an odd one down, an even unit row only
+    right and an odd one left, so a unit cell's move is one flag, whether
+    it is vertical, written a mega column at a time. A run ends at the
+    first cell of its column that is not vertical, or of its row that
+    is. The loop keeps those runs as ranges of unit-cell ids; their
     starts are its turns (:attr:`CoverageLoop.turns`).
     """
     span, masks = tree.span, tree.flat_masks
@@ -231,72 +230,65 @@ def circumnavigate(tree: SpanningTree, start: Coord,
     if not span.has_node((sx >> 1, sy >> 1)):
         raise ValueError(f"start {start} lies outside the tree's mega cells")
     n = 4 * span.free.count(1)
-    moves = bytearray(rows * cols)  # column-major: x * rows + y
+    vertical = bytearray(rows * cols)  # column-major: x * rows + y
     for mx in range(cols // 2):
         column = masks[mx * height:(mx + 1) * height]
         base = 2 * mx * rows
-        moves[base:base + rows:2] = column.translate(_TOP_LEFT)
-        moves[base + 1:base + rows:2] = column.translate(_BOTTOM_LEFT)
+        vertical[base:base + rows:2] = column.translate(_TOP_LEFT)
+        vertical[base + 1:base + rows:2] = column.translate(_BOTTOM_LEFT)
         base += rows
-        moves[base:base + rows:2] = column.translate(_TOP_RIGHT)
-        moves[base + 1:base + rows:2] = column.translate(_BOTTOM_RIGHT)
+        vertical[base:base + rows:2] = column.translate(_TOP_RIGHT)
+        vertical[base + 1:base + rows:2] = column.translate(_BOTTOM_RIGHT)
     by_row = bytearray(rows * cols)  # row-major: y * cols + x
     for row in range(rows):
-        by_row[row * cols:(row + 1) * cols] = moves[row::rows]
-    down, up = moves.translate(_HEADING[DOWN]), moves.translate(_HEADING[UP])
-    right = by_row.translate(_HEADING[RIGHT])
-    left = by_row.translate(_HEADING[LEFT])
+        by_row[row * cols:(row + 1) * cols] = vertical[row::rows]
 
     runs = []
     append = runs.append
     walked = 0
     x, y = start
     here = x * rows + y
-    heading = moves[here]
     leftward = -rows  # one int object for the step of every leftward run
     while walked <= n:
-        # the run's cells move on by ``heading`` from the cell ``here`` up
-        # to ``end``, which is off the grid when no cell of the column or
-        # row stops the run. The run's stop is the id of the next run's
-        # first cell, and that run starts from the same int object.
-        if heading == DOWN:
+        # the run's cells move on from the cell ``here`` up to ``end``,
+        # which is off the grid when no cell of the column or row stops
+        # the run. The run's stop is the id of the next run's first
+        # cell, and that run starts from the same int object.
+        if vertical[here]:
             base = x * rows
-            end = down.find(0, here, base + rows)
-            end = end - base if end >= 0 else rows
-            closes = x == sx and y < sy <= end
-            stop = base + (sy if closes else end)
-            run = range(here, stop)
+            if x & 1:  # down
+                end = vertical.find(0, here, base + rows)
+                end = end - base if end >= 0 else rows
+                closes = x == sx and y < sy <= end
+                stop = base + (sy if closes else end)
+                run = range(here, stop)
+            else:  # up
+                end = vertical.rfind(0, base, here)
+                end = end - base if end >= 0 else -1
+                closes = x == sx and end <= sy < y
+                stop = base + (sy if closes else end)
+                run = range(here, stop, -1)
             y = end
-        elif heading == UP:
-            base = x * rows
-            end = up.rfind(0, base, here)
-            end = end - base if end >= 0 else -1
-            closes = x == sx and end <= sy < y
-            stop = base + (sy if closes else end)
-            run = range(here, stop, -1)
-            y = end
-        elif heading == RIGHT:
-            base = y * cols
-            end = right.find(0, base + x, base + cols)
-            end = end - base if end >= 0 else cols
-            closes = y == sy and x < sx <= end
-            stop = (sx if closes else end) * rows + y
-            run = range(here, stop, rows)
-            x = end
         else:
             base = y * cols
-            end = left.rfind(0, base, base + x)
-            end = end - base if end >= 0 else -1
-            closes = y == sy and end <= sx < x
-            stop = (sx if closes else end) * rows + y
-            run = range(here, stop, leftward)
+            if y & 1:  # left
+                end = by_row.rfind(1, base, base + x)
+                end = end - base if end >= 0 else -1
+                closes = y == sy and end <= sx < x
+                stop = (sx if closes else end) * rows + y
+                run = range(here, stop, leftward)
+            else:  # right
+                end = by_row.find(1, base + x, base + cols)
+                end = end - base if end >= 0 else cols
+                closes = y == sy and x < sx <= end
+                stop = (sx if closes else end) * rows + y
+                run = range(here, stop, rows)
             x = end
         append(run)
         walked += len(run)
         if closes or not (0 <= x < cols and 0 <= y < rows):
             break
         here = stop
-        heading = moves[here]
     if not closes or walked != n:
         raise AssertionError(
             f"circumnavigation did not close after exactly {n} steps"

@@ -239,6 +239,53 @@ def first_cut_makespans(model: LoopCostModel,
     return makespans
 
 
+def feasible_first_cuts(model: LoopCostModel, anchors: list[int],
+                        budget: float) -> list[int]:
+    """Every position of the first cut from which some partition keeps
+    each arc's cost within ``budget``: empty exactly when the least
+    makespan is above ``budget``.
+
+    ``anchors`` are at least two distinct loop indices, taken in the
+    order of :func:`shortest_gap_first`; the positions are cuts of its
+    first gap, as virtual indices, and cut ``i`` ends the arc that holds
+    the ``i``-th anchor. For each later gap ``i`` and each cut ``p`` of
+    gap ``i - 1``, ``farthest[i][p]`` is the farthest cut of gap ``i``
+    whose arc from ``p + 1`` costs at most ``budget``, if any. An arc's
+    cost never falls as its end moves right and never rises as its start
+    does (``test_balance.py::TestArcCostMonotone``), so that cut never
+    falls as ``p`` moves right and one pointer per gap finds them all, in
+    about two cost calls per loop node. From a first cut, the farthest
+    cuts leave each later arc, the closing one included, as short as any
+    partition can: the first cut is feasible when that chain reaches the
+    last gap and its closing arc fits. No ``_greedy_cuts`` probe,
+    survivor list or shortcut is involved.
+    """
+    size, k = model.size, len(anchors)
+    anchors = shortest_gap_first(sorted(anchors), size)
+    bounds = anchors + [anchors[0] + size]
+    farthest = []
+    for i in range(1, k):
+        reach, cut = {}, bounds[i] - 1  # the farthest cut known to fit
+        for p in range(bounds[i - 1], bounds[i]):
+            while cut + 1 < bounds[i + 1] and model.arc_cost(
+                    p + 1, cut + 1 - p, bounds[i]) <= budget:
+                cut += 1
+            if cut >= bounds[i]:
+                reach[p] = cut
+        farthest.append(reach)
+    firsts = []
+    for c0 in range(bounds[0], bounds[1]):
+        cut = c0
+        for reach in farthest:
+            cut = reach.get(cut)
+            if cut is None:
+                break
+        else:
+            if model.arc_cost(cut + 1, c0 + size - cut, bounds[k]) <= budget:
+                firsts.append(c0)
+    return firsts
+
+
 def brute_force_min_tiling(span: SpanningGraph) -> int:
     """Exact minimum brick count by exhaustive partition enumeration.
 

@@ -623,6 +623,43 @@ def test_plan_path_makes_no_extract_twists_call(monkeypatch, k):
             assert robot.twists == len(twists)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_certificate_keeps_the_first_cuts_within_budget(seed):
+    # oracles.feasible_first_cuts against the dynamic program's least
+    # makespan per first cut, at each of those makespans and just below
+    rng = random.Random(seed)
+    loop = random_loop(seed, mega=(rng.randint(3, 8), rng.randint(3, 8)),
+                       ratio=rng.choice((0.0, 0.1, 0.2)))
+    size = len(loop)
+    model = LoopCostModel(loop, random_params(rng))
+    idxs = random_anchors(rng, size, rng.randint(2, min(6, size)),
+                          clustered=seed % 2 == 1)
+    best = first_cut_makespans(model, idxs)
+    for t in set(best.values()):
+        for budget in (t, math.nextafter(t, 0)):
+            assert oracles.feasible_first_cuts(model, idxs, budget) == [
+                c for c in sorted(best) if best[c] <= budget]
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 16])
+def test_mega_40_makespan_is_certified_least(k):
+    # past the dynamic program's sizes: at the plan's makespan some first
+    # cut completes a partition, the plan's own among them, and at the
+    # next float below it none does
+    grid = bench.generate_random_map((40, 40), 0.1, 7)
+    result = pipeline.plan(grid, k=k)
+    robots, size = result.plan.robots, len(result.loop)
+    model = LoopCostModel(result.loop, PARAMS)
+    anchors = [robot.anchored for robot in robots]
+    first = shortest_gap_first(sorted(anchors), size)[0]
+    own = next((r.arc_start + r.arc_length - 1 - first) % size + first
+               for r in robots if r.anchored == first)
+    makespan = result.plan.makespan
+    assert own in oracles.feasible_first_cuts(model, anchors, makespan)
+    assert oracles.feasible_first_cuts(
+        model, anchors, math.nextafter(makespan, 0)) == []
+
+
 class TestGreedyCuts:
     """The sweep against ``oracles.greedy_cuts``, which prices every arc
     with one ``LoopCostModel.arc_cost`` call or, on short loops, also

@@ -286,6 +286,34 @@ class TestOutputFiles:
         assert out.read_bytes() == b"old bytes\n"
         assert not list(tmp_path.glob(".turncover-*"))
 
+    def test_dash_is_stdout_for_every_output(self, strip_map, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["plan", "--map", strip_map, "--svg", "-",
+                     "--out", "p.txt"]) == 0
+        assert capsys.readouterr().out.startswith("<svg")
+        assert main(["bench", "--maps", "1", "--mega", "4,4", "--robots", "1",
+                     "--records", "-", "--out", "r.txt"]) == 0
+        assert capsys.readouterr().out.startswith("scenario=random-0 ")
+        assert not (tmp_path / "-").exists()
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        argv = ["bench", "--maps", "1", "--mega", "4,4", "--robots", "1",
+                "--out", str(tmp_path / "r.txt"), "--records"]
+        regular, fifo = tmp_path / "records.txt", tmp_path / "records.fifo"
+        assert main(argv + [str(regular)]) == 0
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(argv + [str(fifo)]) == 0
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert b"".join(chunks) == regular.read_bytes()
+
     @pytest.mark.parametrize("argv", [
         ["plan", "--out", ""], ["plan", "--svg", ""], ["tree", "--svg", ""],
         ["tile", "--out", ""],

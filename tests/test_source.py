@@ -213,3 +213,38 @@ def test_every_class_is_a_record_or_an_error():
                     or f"{path.stem}.{node.name}" in allowed):
                 others.append(f"{path.name}:{node.lineno} {node.name}")
     assert others == []
+
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` replaces, creates or opens a file for writing."""
+    name = ast.unparse(call.func)
+    if name in ("os.replace", "tempfile.mkstemp", "os.fdopen"):
+        return True
+    if name.endswith((".write_text", ".write_bytes")):
+        return True
+    if name != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant)
+                and not set("wax+") & set(mode.value))
+
+
+def test_one_function_writes_every_output():
+    # cli._emit alone decides what an output path means: '-' is stdout, a
+    # device or pipe is written in place, a regular file replaced whole
+    writers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _writes_a_file(call):
+                # the innermost function around the call, if any
+                owner = min((f for f in funcs
+                             if f.lineno <= call.lineno <= f.end_lineno),
+                            key=lambda f: f.end_lineno - f.lineno,
+                            default=None)
+                writers.add(f"{path.stem}.{getattr(owner, 'name', None)}")
+    assert writers == {"cli._emit"}
