@@ -125,24 +125,32 @@ def run_scenario(scenario: Scenario) -> RunReport:
         full = grid_map.build_spanning_graph(scenario.grid)
         if full.free.count(1) != result.span.free.count(1):
             grid_map.connected_component(full, [])
+    turns = method_turns(result, scenario.tree_method, scenario.seed)
+    return run_report(scenario.name, scenario.tree_method, result, turns,
+                      planning)
+
+
+def method_turns(cover: pipeline.Cover | pipeline.PlanResult,
+                 tree_method: str, seed: int) -> dict[str, int]:
+    """Turn counts of every tree method on the cover's span: its own
+    tree's, and a tree built for each other method."""
     turns = {}
     for method in TREE_METHODS:
-        if method == scenario.tree_method:
-            turns[method] = result.tree_turns
+        if method == tree_method:
+            turns[method] = cover.tree_turns
         else:
-            tree, _ = pipeline.build_tree(result.span, method, scenario.seed)
+            tree, _ = pipeline.build_tree(cover.span, method, seed)
             turns[method] = tree_builder.tree_turns(tree)
-    return RunReport(
-        scenario=scenario.name,
-        tree_method=scenario.tree_method,
-        k=scenario.k,
-        brick_count=result.brick_count,
-        loop_length=len(result.loop),
-        turns_by_method=turns,
-        max_time=result.plan.makespan,
-        min_time=result.plan.min_time(),
-        planning_seconds=planning,
-    )
+    return turns
+
+
+def run_report(name: str, tree_method: str, result: pipeline.PlanResult,
+               turns: dict[str, int], seconds: float) -> RunReport:
+    """The report of one plan, which took ``seconds`` to make."""
+    plan = result.plan
+    return RunReport(name, tree_method, len(plan.robots), result.brick_count,
+                     len(result.loop), turns, plan.makespan, plan.min_time(),
+                     seconds)
 
 
 def turns_table(rows: list[dict]) -> str:

@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NoReturn
 
@@ -19,12 +20,13 @@ from .coverage_path import RobotParams
 def _emit(path: str | None, text: str) -> None:
     """Write ``text`` to stdout when ``path`` is None or ``-``, and in
     place to a device, pipe or other existing file that is not a regular
-    one. Otherwise replace ``path`` by a complete file, with the mode a
-    plain write gives: the existing file's, or ``0o666`` less the
-    umask."""
+    one. Otherwise replace the file ``path`` names, through any
+    symlinks, by a complete file, with the mode a plain write gives: the
+    existing file's, or ``0o666`` less the umask."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
+    path = os.path.realpath(path)  # a link stays a link to the new file
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -180,12 +182,20 @@ def cmd_bench(args) -> int:
         )
     rows, reports = [], []
     for name, grid in grids:
-        runs = [bench.run_scenario(bench.Scenario(
-            name=name, grid=grid, k=k, params=params,
-            tree_method=args.method, seed=args.seed)) for k in args.robots]
-        # every run of a map reports the turns of the same three trees
-        rows.append({"map": name, **runs[0].turns_by_method})
-        reports += runs
+        # one cover per map; a k's plan(s) is its time plus k's assignment
+        t0 = time.perf_counter()
+        span = pipeline.build_component(grid, None)
+        cover = pipeline.cover(span, grid.resolution_d, None, args.method,
+                               args.seed)
+        shared = time.perf_counter() - t0
+        turns = bench.method_turns(cover, args.method, args.seed)
+        rows.append({"map": name, **turns})
+        for k in args.robots:
+            t0 = time.perf_counter()
+            result = pipeline.assign(cover, k, None, params)
+            seconds = shared + time.perf_counter() - t0
+            reports.append(bench.run_report(name, args.method, result, turns,
+                                            seconds))
     text = bench.turns_table(rows) + "\n" + bench.report_table(reports)
     if args.records:
         _emit(args.records, "".join(r.record_line() + "\n" for r in reports))

@@ -55,6 +55,49 @@ def build_tree(span: SpanningGraph, method: str, seed: int = 0
     raise ValueError(f"unknown tree method {method!r}")
 
 
+class Cover(Record):
+    """What a plan of the component ``span`` shares with every other
+    robot count: the tree and the loop around it."""
+
+    span: SpanningGraph
+    bricks: BrickSet | None
+    tree: SpanningTree
+    loop: CoverageLoop
+    tree_turns: int
+
+
+def cover(span: SpanningGraph, resolution_d: float,
+          start: Coord | None = None, tree_method: str = "tmstc",
+          seed: int = 0) -> Cover:
+    """Tree of the component ``span`` and the loop around it, starting
+    at the unit cell ``start`` or at the least node's top-left cell."""
+    tree, bricks = build_tree(span, tree_method, seed)
+    if start is None:
+        mx, my = divmod(span.free.index(1), span.mega_height)
+        start = (2 * mx, 2 * my)
+    loop = coverage_path.circumnavigate(tree, start, resolution_d)
+    return Cover(span, bricks, tree, loop, tree_builder.tree_turns(tree))
+
+
+def assign(cover: Cover, k: int, starts: list[Coord] | None = None,
+           params: RobotParams | None = None) -> PlanResult:
+    """Balanced plan of ``k`` robots on the cover's loop: anchored at
+    the loop nodes nearest the unit cells ``starts``, or spread evenly
+    along the loop without them."""
+    loop = cover.loop
+    size = len(loop)
+    if k > size:
+        raise ValueError(f"{k} robots exceed loop length {size}")
+    if starts and len(starts) != k:
+        raise ValueError(f"{len(starts)} starts given for {k} robots")
+    anchored = (balance.anchor_starts(loop, starts) if starts
+                else [i * size // k for i in range(k)])
+    robot_plan = balance.balance_partition(loop, anchored,
+                                           params or RobotParams())
+    return PlanResult(cover.span, cover.bricks, cover.tree, loop, robot_plan,
+                      cover.tree_turns)
+
+
 def plan(
     grid: GridMap,
     k: int = 1,
@@ -63,14 +106,13 @@ def plan(
     tree_method: str = "tmstc",
     seed: int = 0,
 ) -> PlanResult:
-    """Map -> component -> tree -> loop -> balanced multi-robot plan.
+    """Map -> component -> :func:`cover` -> :func:`assign`.
 
-    ``starts`` are unit-cell coordinates; without them the robots are
-    spread evenly along the loop.
+    ``starts`` are unit-cell coordinates; the loop starts at the first
+    of them, and without them the robots are spread evenly along it.
     """
     if k < 1:
         raise ValueError("robot count must be at least 1")
-    params = params or RobotParams()
     if starts:
         if len(starts) != k:
             raise ValueError(f"{len(starts)} starts given for {k} robots")
@@ -79,28 +121,10 @@ def plan(
                 raise ValueError(f"start {cell} is not a free map cell")
     span = build_component(grid, starts)
     size = 4 * span.free.count(1)  # the loop visits four unit cells per node
-    if k > size:
+    if k > size:  # before any tree is built
         raise ValueError(f"{k} robots exceed loop length {size}")
-    tree, bricks = build_tree(span, tree_method, seed)
-    if starts:
-        start_cell = starts[0]
-    else:
-        mx, my = divmod(span.free.index(1), span.mega_height)  # the least node
-        start_cell = (2 * mx, 2 * my)
-    loop = coverage_path.circumnavigate(tree, start_cell, grid.resolution_d)
-    if starts:
-        anchored = balance.anchor_starts(loop, starts)
-    else:
-        anchored = [i * size // k for i in range(k)]
-    robot_plan = balance.balance_partition(loop, anchored, params)
-    return PlanResult(
-        span=span,
-        bricks=bricks,
-        tree=tree,
-        loop=loop,
-        plan=robot_plan,
-        tree_turns=tree_builder.tree_turns(tree),
-    )
+    return assign(cover(span, grid.resolution_d, starts[0] if starts else None,
+                        tree_method, seed), k, starts, params)
 
 
 def turns_by_method(grid: GridMap, kruskal_seed: int = 0) -> dict[str, int]:

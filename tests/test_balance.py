@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from itertools import accumulate
@@ -650,6 +651,60 @@ def test_mega_40_makespan_is_certified_least(k):
     result = pipeline.plan(grid, k=k)
     robots, size = result.plan.robots, len(result.loop)
     model = LoopCostModel(result.loop, PARAMS)
+    anchors = [robot.anchored for robot in robots]
+    first = shortest_gap_first(sorted(anchors), size)[0]
+    own = next((r.arc_start + r.arc_length - 1 - first) % size + first
+               for r in robots if r.anchored == first)
+    makespan = result.plan.makespan
+    assert own in oracles.feasible_first_cuts(model, anchors, makespan)
+    assert oracles.feasible_first_cuts(
+        model, anchors, math.nextafter(makespan, 0)) == []
+
+
+@functools.cache
+def _mega_40_cover():
+    grid = bench.generate_random_map((40, 40), 0.1, 7)
+    return pipeline.cover(pipeline.build_component(grid, None),
+                          grid.resolution_d)
+
+
+@pytest.mark.parametrize("anchors, k", [
+    ("spread", 4), ("spread", 16), ("clustered", 4), ("clustered", 8),
+    ("clustered", 16), ("pinned", 2), ("pinned", 8), ("pinned", 16)])
+def test_mega_40_survivors_are_certified(monkeypatch, anchors, k):
+    # every probe keeps exactly those of the first cuts it tries from
+    # which some partition fits its budget, and fails exactly when it
+    # keeps none; the plan's makespan is certified least as above
+    cover = _mega_40_cover()
+    loop, size = cover.loop, len(cover.loop)
+    starts = None
+    if anchors == "clustered":  # k consecutive loop nodes
+        starts = list(loop.nodes[size // 3:size // 3 + k])
+    elif anchors == "pinned":  # the k loop cells nearest a corner
+        starts = sorted(loop.nodes, key=lambda c: (c[0] ** 2 + c[1] ** 2,
+                                                   c))[:k]
+    probes = []
+    sweep = balance._greedy_cuts
+
+    def recorded(model, anchors, budget, firsts):
+        firsts = list(firsts)
+        out = sweep(model, anchors, budget, firsts)
+        probes.append((model, anchors, budget, firsts, out))
+        return out
+
+    monkeypatch.setattr(balance, "_greedy_cuts", recorded)
+    result = pipeline.assign(cover, k, starts)
+    monkeypatch.undo()
+    assert probes
+    for model, anchors, budget, firsts, (found, _, survivors) in probes:
+        loop_idxs = sorted(a % size for a in anchors)
+        assert anchors == shortest_gap_first(loop_idxs, size)
+        certified = set(oracles.feasible_first_cuts(model, loop_idxs, budget))
+        assert survivors == [c for c in firsts if c in certified]
+        assert (found is None) == (not survivors)
+
+    robots = result.plan.robots
+    model = LoopCostModel(loop, PARAMS)
     anchors = [robot.anchored for robot in robots]
     first = shortest_gap_first(sorted(anchors), size)[0]
     own = next((r.arc_start + r.arc_length - 1 - first) % size + first

@@ -1,6 +1,7 @@
 import pytest
 
-from turncover import bench, brick_tiling, grid_map, pipeline
+from turncover import (balance, bench, brick_tiling, cli, coverage_path,
+                       grid_map, pipeline, tree_builder)
 from turncover.coverage_path import RobotParams
 from turncover.grid_map import DisconnectedGraphError, GridMap
 
@@ -164,6 +165,66 @@ class TestPlanInputs:
             with pytest.raises(ValueError,
                                match="robot count must be at least 1"):
                 pipeline.plan(grid, k=k)
+
+
+class TestCoverAndAssign:
+    """``plan`` is ``assign(cover(...))``, and ``bench`` builds each map's
+    cover once for all its robot counts."""
+
+    @pytest.mark.parametrize("method", bench.TREE_METHODS)
+    def test_plan_is_assign_of_cover(self, method):
+        grid = bench.generate_random_map((7, 6), 0.15, 4)
+        span = pipeline.build_component(grid, None)
+        shared = pipeline.cover(span, grid.resolution_d, None, method, 3)
+        params = RobotParams(1.1, 0.7, 0.9)
+        loop = shared.loop
+        for k in (1, 3, 8):
+            assert pipeline.assign(shared, k, None, params) == pipeline.plan(
+                grid, k, None, params, method, 3)
+            starts = [loop.nodes[i * 7 % len(loop)] for i in range(k)]
+            pinned = pipeline.cover(span, grid.resolution_d, starts[0],
+                                    method, 3)
+            assert pipeline.assign(pinned, k, starts, params) == (
+                pipeline.plan(grid, k, starts, params, method, 3))
+
+    def test_assign_checks_its_robots(self):
+        grid = bench.generate_random_map((3, 3), 0.0, 1)
+        shared = pipeline.cover(pipeline.build_component(grid, None),
+                                grid.resolution_d)
+        with pytest.raises(ValueError, match="exceed loop length 36"):
+            pipeline.assign(shared, 37)
+        with pytest.raises(ValueError, match="1 starts given for 2 robots"):
+            pipeline.assign(shared, 2, [(0, 0)])
+
+    def test_bench_builds_one_cover_per_map(self, monkeypatch, tmp_path):
+        calls = dict.fromkeys(["min_brick_tiling", "merge_bricks", "dfs_tree",
+                               "kruskal_tree", "circumnavigate",
+                               "balance_partition"], 0)
+        for module in (brick_tiling, tree_builder, coverage_path, balance):
+            for name in calls.keys() & vars(module).keys():
+                def counted(*args, _name=name, _f=getattr(module, name)):
+                    calls[_name] += 1
+                    return _f(*args)
+                monkeypatch.setattr(module, name, counted)
+        assert cli.main(["bench", "--maps", "3", "--robots", "1,2,4",
+                         "--out", str(tmp_path / "report.txt")]) == 0
+        assert calls == {"min_brick_tiling": 3, "merge_bricks": 3,
+                         "dfs_tree": 3, "kruskal_tree": 3,
+                         "circumnavigate": 3, "balance_partition": 9}
+
+    @pytest.mark.parametrize("method", bench.TREE_METHODS)
+    def test_bench_records_are_run_scenario_records(self, method, tmp_path):
+        records = tmp_path / "records.txt"
+        assert cli.main(["bench", "--maps", "2", "--mega", "6,5", "--robots",
+                         "1,3,5", "--method", method, "--seed", "11",
+                         "--records", str(records),
+                         "--out", str(tmp_path / "report.txt")]) == 0
+        expected = [
+            bench.run_scenario(bench.Scenario(
+                f"random-{seed}", bench.generate_random_map((6, 5), 0.1, seed),
+                k=k, tree_method=method, seed=11)).record_line()
+            for seed in (11, 12) for k in (1, 3, 5)]
+        assert records.read_text().splitlines() == expected
 
 
 def test_tables_render():

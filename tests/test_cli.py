@@ -314,6 +314,24 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert b"".join(chunks) == regular.read_bytes()
 
+    def test_symlink_keeps_pointing_at_the_new_output(self, strip_map,
+                                                      tmp_path, umask_022):
+        # the link's target is replaced, as a plain write would fill it,
+        # and the link itself is left a link
+        expected = tmp_path / "expected.txt"
+        assert main(["tile", "--map", strip_map, "--out", str(expected)]) == 0
+        (tmp_path / "sub").mkdir()
+        target, link = tmp_path / "sub" / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        target.chmod(0o600)
+        link.symlink_to(Path("sub") / "target.txt")
+        assert main(["tile", "--map", strip_map, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert os.readlink(link) == str(Path("sub") / "target.txt")
+        assert target.read_bytes() == expected.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        assert not list(tmp_path.rglob(".turncover-*"))
+
     @pytest.mark.parametrize("argv", [
         ["plan", "--out", ""], ["plan", "--svg", ""], ["tree", "--svg", ""],
         ["tile", "--out", ""],

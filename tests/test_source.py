@@ -126,6 +126,14 @@ def test_cli_import_loads_every_layer_without_dataclasses():
     assert len(layers) == 9 and layers <= loaded
 
 
+def test_package_init_imports_nothing():
+    # each layer is imported by its module name (turncover.pipeline and
+    # the rest): the package re-exports none of their names
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_src_imports_only_at_module_level():
     # no import is deferred into a function, so importing turncover.cli
     # pays for every layer up front, and none of them is dataclasses
