@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 import time
 
-from . import grid_map, pipeline, tree_builder
+from . import grid_map, pipeline
 from .coverage_path import RobotParams
 from .grid_map import Coord, GridMap, Record, coverage_nodes_of, flood_fill
 from .pipeline import TREE_METHODS
@@ -98,7 +98,8 @@ def generate_random_map(
 
 def compare_trees(grids: list[tuple[str, GridMap]],
                   kruskal_seed: int = 0) -> list[dict]:
-    """Turn counts of each tree method on each map, plus totals."""
+    """Turn counts of each tree method on each map, one row per map;
+    :func:`turns_table` adds the totals."""
     rows = []
     for name, grid in grids:
         turns = pipeline.turns_by_method(grid, kruskal_seed)
@@ -125,23 +126,10 @@ def run_scenario(scenario: Scenario) -> RunReport:
         full = grid_map.build_spanning_graph(scenario.grid)
         if full.free.count(1) != result.span.free.count(1):
             grid_map.connected_component(full, [])
-    turns = method_turns(result, scenario.tree_method, scenario.seed)
+    turns = pipeline.method_turns(result.span, scenario.seed,
+                                  {scenario.tree_method: result.tree_turns})
     return run_report(scenario.name, scenario.tree_method, result, turns,
                       planning)
-
-
-def method_turns(cover: pipeline.Cover | pipeline.PlanResult,
-                 tree_method: str, seed: int) -> dict[str, int]:
-    """Turn counts of every tree method on the cover's span: its own
-    tree's, and a tree built for each other method."""
-    turns = {}
-    for method in TREE_METHODS:
-        if method == tree_method:
-            turns[method] = cover.tree_turns
-        else:
-            tree, _ = pipeline.build_tree(cover.span, method, seed)
-            turns[method] = tree_builder.tree_turns(tree)
-    return turns
 
 
 def run_report(name: str, tree_method: str, result: pipeline.PlanResult,

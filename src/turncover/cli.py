@@ -188,7 +188,8 @@ def cmd_bench(args) -> int:
         cover = pipeline.cover(span, grid.resolution_d, None, args.method,
                                args.seed)
         shared = time.perf_counter() - t0
-        turns = bench.method_turns(cover, args.method, args.seed)
+        turns = pipeline.method_turns(span, args.seed,
+                                      {args.method: cover.tree_turns})
         rows.append({"map": name, **turns})
         for k in args.robots:
             t0 = time.perf_counter()

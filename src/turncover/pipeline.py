@@ -129,9 +129,19 @@ def plan(
 
 def turns_by_method(grid: GridMap, kruskal_seed: int = 0) -> dict[str, int]:
     """Turn counts of all three tree methods on one map."""
-    span = build_component(grid, None)
-    out = {}
+    return method_turns(build_component(grid, None), kruskal_seed)
+
+
+def method_turns(span: SpanningGraph, seed: int = 0,
+                 known: dict[str, int] | None = None) -> dict[str, int]:
+    """Turn counts of every tree method on the component ``span``, in
+    ``TREE_METHODS`` order: those ``known`` already, from trees built
+    before, and a tree built for each other method."""
+    turns = {}
     for method in TREE_METHODS:
-        tree, _ = build_tree(span, method, kruskal_seed)
-        out[method] = tree_builder.tree_turns(tree)
-    return out
+        if known and method in known:
+            turns[method] = known[method]
+        else:
+            tree, _ = build_tree(span, method, seed)
+            turns[method] = tree_builder.tree_turns(tree)
+    return turns

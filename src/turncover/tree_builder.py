@@ -62,7 +62,9 @@ class SpanningTree(Record):
 
 
 def _link(masks: bytearray, a: int, b: int, height: int) -> None:
-    """Set the mask bits of the tree edge between node ids ``a < b``."""
+    """Set the mask bits of the tree edge between node ids ``a < b``, for
+    the brick merge, which learns an edge's direction only from its ids;
+    the baselines set the bits of the direction each branch knows."""
     if b - a == height:
         masks[a] |= RIGHT
         masks[b] |= LEFT
@@ -98,6 +100,12 @@ TURNS = tuple(
     turn_count((0, 0), [s for i, s in enumerate(_STEPS) if mask >> i & 1])
     for mask in range(16)
 )
+
+
+# TURNS as a bytes.translate table over every byte value; every node of a
+# tree of two or more nodes has an edge, so mask 0 is off the tree and
+# maps to 0, as do the values no mask takes
+_TURN_BYTES = bytes((0, *TURNS[1:])).ljust(256, b"\0")
 
 
 # GAINS[bit][mask]: the change in a node's turns when the edge ``bit``
@@ -191,32 +199,46 @@ def merge_bricks(bricks: BrickSet, span: SpanningGraph) -> SpanningTree:
 
 def dfs_tree(span: SpanningGraph, root: Coord) -> SpanningTree:
     """Depth-first tree with fixed neighbor order (right, down, left, up):
-    the node on top of the stack links to its first unvisited neighbour."""
+    the node on top of the stack links to its first unvisited neighbour.
+
+    The walk reads its own copy of the span's flags with H clear flags
+    appended: an id ``i + H`` past the last column lands on them, and so
+    does an id ``i - H`` before the first one, by negative indexing. The
+    guards ``(i + 1) % H`` and ``i % H`` keep a step down or up inside
+    its column."""
     if not span.has_node(root):
         raise ValueError(f"root {root} is not a spanning node")
     height = span.mega_height
-    todo = bytearray(span.free)
-    n = len(todo)
-    masks = bytearray(n)
+    todo = bytearray(span.free) + bytes(height)
+    masks = bytearray(len(span.free))
     r = root[0] * height + root[1]
     todo[r] = 0
     stack = [r]
     while stack:
         i = stack[-1]
-        y = i % height
-        # a neighbour off the grid reads the root, whose flag is clear
-        for j in (i + height if i + height < n else r,
-                  i + 1 if y + 1 < height else r,
-                  i - height if i >= height else r,
-                  i - 1 if y else r):
-            if todo[j]:
-                todo[j] = 0
-                _link(masks, min(i, j), max(i, j), height)
-                stack.append(j)
-                break
+        # a newly visited node has no tree edge yet, so its mask is set
+        if todo[i + height]:
+            j = i + height
+            masks[i] |= RIGHT
+            masks[j] = LEFT
+        elif todo[i + 1] and (i + 1) % height:
+            j = i + 1
+            masks[i] |= DOWN
+            masks[j] = UP
+        elif todo[i - height]:
+            j = i - height
+            masks[i] |= LEFT
+            masks[j] = RIGHT
+        elif todo[i - 1] and i % height:
+            j = i - 1
+            masks[i] |= UP
+            masks[j] = DOWN
         else:
             stack.pop()
-    if any(todo):
+            continue
+        todo[j] = 0
+        stack.append(j)
+    if 1 in todo:
         raise DisconnectedGraphError("spanning graph is disconnected")
     return SpanningTree(span, masks)
 
@@ -238,11 +260,17 @@ def kruskal_tree(span: SpanningGraph, seed: int) -> SpanningTree:
     chosen = 0
     for s in slots:
         a = s >> 1
-        b = a + height if s & 1 else a + 1
+        right = s & 1
+        b = a + height if right else a + 1
         ra, rb = find(parent, a), find(parent, b)
         if ra != rb:
             parent[ra] = rb
-            _link(masks, a, b, height)
+            if right:
+                masks[a] |= RIGHT
+                masks[b] |= LEFT
+            else:
+                masks[a] |= DOWN
+                masks[b] |= UP
             chosen += 1
     if chosen != span.free.count(1) - 1:
         raise DisconnectedGraphError("spanning graph is disconnected")
@@ -253,13 +281,14 @@ def tree_turns(tree: SpanningTree) -> int:
     """Total turns of the circumnavigating loop: the per-node turn
     function summed over all tree nodes.
 
-    An isolated single node circumnavigates as a square loop of four
-    turns.
+    Each node's turns are read off its mask in one ``bytes.translate``
+    of the flat masks through a 256-byte table, which maps mask 0, off
+    the tree, to 0. An isolated single node circumnavigates as a square
+    loop of four turns.
     """
     if tree.span.free.count(1) == 1:
         return 4
-    # every node of a larger tree has an edge, so a 0 mask is off the tree
-    return sum(TURNS[mask] for mask in tree.flat_masks if mask)
+    return sum(tree.flat_masks.translate(_TURN_BYTES))
 
 
 def tree_to_text(tree: SpanningTree) -> str:

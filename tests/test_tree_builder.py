@@ -354,10 +354,17 @@ class TestBaselineTrees:
     def test_match_coordinate_oracles(self, rng):
         spans = [random_connected_span(rng, max_dim=8, max_cells=40)
                  for _ in range(60)]
-        spans.append(make_span(1, 1))
         for span in spans:
             for root in (min(span.nodes), rng.choice(sorted(span.nodes))):
                 assert dfs_tree(span, root).edges == oracles.dfs_tree(span, root)
+        # small fixed spans from every root: the DFS's column-wrap guards
+        # are crossed at the first and last rows of their columns
+        fixed = [make_span(1, 1), make_span(2, 2, obstacles=((1, 1),)),
+                 make_span(1, 5), make_span(5, 1), make_span(3, 4)]
+        for span in fixed:
+            for root in sorted(span.nodes):
+                assert dfs_tree(span, root).edges == oracles.dfs_tree(span, root)
+        for span in spans + fixed:
             for seed in (0, 1, 42):
                 assert (kruskal_tree(span, seed).edges
                         == oracles.kruskal_tree(span, seed))
@@ -393,19 +400,23 @@ class TestTreeTurns:
         assert tree_turns(make_tree([(0, 0)], [])) == 4
 
     def test_sum_of_turn_count_over_neighbours(self, rng):
+        # a plus, whose centre has all four edges (mask 15)
+        arms = [(2, 1), (1, 2), (0, 1), (1, 0)]
+        trees = [make_tree([(1, 1), *arms], [((1, 1), arm) for arm in arms])]
         for _ in range(20):
             span = random_connected_span(rng, max_dim=8, max_cells=40)
             if len(span.nodes) == 1:
                 continue
-            for tree in (merge_bricks(min_brick_tiling(span), span),
-                         dfs_tree(span, min(span.nodes)),
-                         kruskal_tree(span, 1)):
-                nbs = {n: [] for n in tree.span.nodes}
-                for a, b in tree.edges:
-                    nbs[a].append(b)
-                    nbs[b].append(a)
-                assert tree_turns(tree) == sum(
-                    turn_count(n, nbs[n]) for n in tree.span.nodes)
+            trees += (merge_bricks(min_brick_tiling(span), span),
+                      dfs_tree(span, min(span.nodes)),
+                      kruskal_tree(span, 1))
+        for tree in trees:
+            nbs = {n: [] for n in tree.span.nodes}
+            for a, b in tree.edges:
+                nbs[a].append(b)
+                nbs[b].append(a)
+            assert tree_turns(tree) == sum(
+                turn_count(n, nbs[n]) for n in tree.span.nodes)
 
     def test_better_tree_fewer_turns(self):
         # same region, few long bricks vs many short ones
