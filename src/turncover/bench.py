@@ -8,7 +8,8 @@ import time
 
 from . import grid_map, pipeline
 from .coverage_path import RobotParams
-from .grid_map import Coord, GridMap, Record, coverage_nodes_of, flood_fill
+from .grid_map import (Coord, GridMap, Record, coverage_nodes_of, flood_fill,
+                       to_bits)
 from .pipeline import TREE_METHODS
 
 MAX_ATTEMPTS = 1000  # maps generate_random_map draws before giving up
@@ -81,8 +82,8 @@ def generate_random_map(
         for x, y in cells_all:
             if (x, y) not in occupied:
                 free[x * mh + y] = 1
-        n_free = mw * mh - n_obstacles
-        if n_free and len(flood_fill(free, mh, free.index(1))) == n_free:
+        bits = to_bits(free, mh)
+        if flood_fill(bits, mh + 1, bits & -bits) == bits:
             occupied_units = coverage_nodes_of(occupied)
             cells = bytes(
                 (x, y) in occupied_units

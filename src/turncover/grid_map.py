@@ -46,41 +46,52 @@ def find(parent: list[int], node: int) -> int:
     return node
 
 
-def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:
-    """Ids 4-connected to the flagged id ``root`` through the ids flagged
-    in ``todo``, a flat layout of stride ``height``; clears their flags
-    as it goes.
+def flood_fill(flags: int, stride: int, seeds: int) -> int:
+    """The bits of ``flags`` 4-connected to the bits of ``seeds`` through
+    bits of ``flags``, both in the layout of :func:`to_bits`, ``stride``
+    being the mega height plus one.
 
-    The fill goes by column runs: a run is a maximal stretch of flagged
-    ids in one column, found by ``find``/``rfind`` on the flags and
-    cleared with one slice. The flagged ids of the neighbour columns
-    beside a run start the runs it reaches."""
-    n = len(todo)
-    reached: list[int] = []
-    runs = [_take_run(todo, height, root)]
-    for lo, hi in runs:  # grows while it is read
-        reached.extend(range(lo, hi))
-        for a, b in ((lo - height, hi - height), (lo + height, hi + height)):
-            if a < 0 or b > n:  # the neighbour column is off the grid
-                continue
-            j = todo.find(1, a, b)
-            while j >= 0:
-                run = _take_run(todo, height, j)
-                runs.append(run)
-                j = todo.find(1, run[1], b)
-    return reached
+    A round first fills every column run down from each reached bit with
+    one add: in ``reached + flags`` the carry from a reached bit runs
+    through the flagged bits of higher order, down its column, to the
+    first clear one, at the latest the column's guard bit, so
+    ``(reached + flags) ^ flags`` flags them all, also where one run
+    holds several reached bits. Shifts by one and by ``stride`` then take
+    one step up the column and one into each side column, and the fill
+    ends when a round adds nothing. A round is a few operations on
+    whole-map ints, so the cost is the number of rounds: the most steps
+    up or sideways that a reached bit needs, one per cell along a
+    one-cell corridor."""
+    reached = seeds & flags
+    while True:
+        down = ((reached + flags) ^ flags) & flags | reached
+        grown = (down | down >> 1 | down << stride | down >> stride) & flags
+        if grown == reached:
+            return reached
+        reached = grown
 
 
-def _take_run(todo: bytearray, height: int, i: int) -> tuple[int, int]:
-    """The run ``[lo, hi)`` of flagged ids through the flagged id ``i``
-    in its column, its flags cleared."""
-    base = i - i % height
-    lo = todo.rfind(0, base, i) + 1 or base  # rfind is -1 when no 0 precedes i
-    hi = todo.find(0, i, base + height)
-    if hi < 0:
-        hi = base + height
-    todo[lo:hi] = bytes(hi - lo)
-    return lo, hi
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a 0/1 flag -> its ASCII digit
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # and back
+
+
+def to_bits(free: bytes, height: int) -> int:
+    """The flags of a flat layout of stride ``height`` as one int: id
+    ``x * height + y`` is bit ``x * (height + 1) + y``, and the bit after
+    each column is a clear guard, so a carry or a one-bit shift never
+    crosses from one column into the next."""
+    digits = free.translate(_DIGITS)
+    columns = [digits[i:i + height] for i in range(0, len(digits), height)]
+    return int(b"0".join(columns)[::-1], 2)
+
+
+def from_bits(bits: int, width: int, height: int) -> bytes:
+    """The flags of ``width`` columns of ``height`` held in ``bits``, the
+    layout of :func:`to_bits`; the inverse of it."""
+    text = format(bits, "b")[::-1].ljust(width * (height + 1), "0")
+    digits = bytearray(text, "ascii")
+    del digits[height::height + 1]  # the guards
+    return bytes(digits.translate(_FLAGS))
 
 
 class Record:
@@ -356,42 +367,41 @@ def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGrap
 
     With no seeds the graph must already be a single component. Seeds in
     different components raise ``DisconnectedGraphError`` naming them.
-    One flood fill runs from the first seed, or from the least node;
-    components are labelled, in the order of their least nodes, only to
-    word an error.
+    The flags become one int (:func:`to_bits`) and one :func:`flood_fill`
+    runs from the first seed, or from the least node; a fill that holds
+    every node returns ``span`` itself, and the flags go back to bytes
+    only for the part of a split map that holds the seeds. Components
+    are labelled, in the order of their least nodes, only to word an
+    error: each is filled from the least bit not yet reached.
     """
     for seed in seeds:
         if not span.has_node(seed):
             raise DisconnectedGraphError(f"seed {seed} is not a free mega cell")
-    ids = span.ids
-    if not ids:
-        return span
     height = span.mega_height
-    seed_ids = [x * height + y for x, y in seeds]
-    todo = bytearray(span.free)
-    comp = flood_fill(todo, height, seed_ids[0] if seeds else ids[0])
-    if len(comp) == len(ids):
+    flags = to_bits(span.free, height)
+    stride = height + 1
+    seed_bits = [1 << x * stride + y for x, y in seeds]
+    comp = flood_fill(flags, stride, seed_bits[0] if seeds else flags & -flags)
+    if comp == flags:
         return span
-    if seeds and not any(todo[i] for i in seed_ids):
-        # the fill cleared the component's flags: the rest stay in todo
-        n = len(todo)
-        flags = int.from_bytes(span.free, "big") ^ int.from_bytes(todo, "big")
-        return SpanningGraph(span.mega_width, height, flags.to_bytes(n, "big"))
+    if seeds and all(comp & bit for bit in seed_bits):
+        return SpanningGraph(span.mega_width, height,
+                             from_bits(comp, span.mega_width, height))
 
-    label = [-1] * len(todo)
-    todo = bytearray(span.free)
-    count = 0
-    for i in ids:
-        if todo[i]:
-            for j in flood_fill(todo, height, i):
-                label[j] = count
-            count += 1
+    homes: dict[Coord, int] = {}
+    rest, count = flags, 0
+    while rest:
+        comp = flood_fill(rest, stride, rest & -rest)
+        for seed, bit in zip(seeds, seed_bits):
+            if comp & bit:
+                homes[seed] = count
+        rest ^= comp
+        count += 1
     if not seeds:
         raise DisconnectedGraphError(
             f"map splits into {count} components and no seeds "
             "were given to pick one"
         )
-    homes = {seed: label[i] for seed, i in zip(seeds, seed_ids)}
     offenders = sorted(homes.items(), key=lambda kv: kv[1])
     detail = ", ".join(f"{seed} in component {idx}" for seed, idx in offenders)
     raise DisconnectedGraphError(f"seeds span multiple components: {detail}")

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,9 @@ from turncover.grid_map import (
     connected_component,
     coverage_nodes_of,
     flood_fill,
+    from_bits,
     parse_map,
+    to_bits,
 )
 
 import oracles
@@ -209,12 +212,26 @@ class TestFloodFillOracle:
     @given(flag_arrays())
     def test_run_fill_matches_cell_fill(self, case):
         flags, height, root = case
-        todo, expected_todo = bytearray(flags), bytearray(flags)
-        reached = flood_fill(todo, height, root)
-        expected = oracles.flood_fill(expected_todo, height, root)
-        assert len(reached) == len(set(reached))
-        assert set(reached) == set(expected)
-        assert todo == expected_todo
+        width = len(flags) // height
+        bits = to_bits(bytes(flags), height)
+        seed = 1 << root // height * (height + 1) + root % height
+        reached = flood_fill(bits, height + 1, seed)
+        assert reached & ~bits == 0
+        expected = oracles.flood_fill(bytearray(flags), height, root)
+        assert set(compress(range(len(flags)),
+                            from_bits(reached, width, height))) == set(expected)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(flag_arrays())
+    def test_bits_round_trip(self, case):
+        """Id ``x * H + y`` is bit ``x * (H + 1) + y``, the guard bits stay
+        clear, and the flags come back unchanged."""
+        flags, height, _ = case
+        width = len(flags) // height
+        bits = to_bits(bytes(flags), height)
+        assert bits == sum(1 << i // height * (height + 1) + i % height
+                           for i in compress(range(len(flags)), flags))
+        assert from_bits(bits, width, height) == flags
 
 
 def two_region_span():
@@ -302,6 +319,23 @@ def checkerboard_map(mega):
                                      for x in range(side)))
 
 
+def serpentine_map(mega, vertical):
+    """One-cell corridors, every even mega column (``vertical``) or row
+    full, joined by one cell in each odd one, at its far end and its
+    near end by turns: one 7,260-node path at mega 120 from (0, 0) to
+    (mega - 1, 0), or its transpose. Each fill round gains about one
+    cell along it."""
+    last = mega - 1
+    free = {(x, y) for x in range(0, mega, 2) for y in range(mega)}
+    free |= {(x, last if x % 4 == 1 else 0) for x in range(1, mega, 2)}
+    if not vertical:
+        free = {(y, x) for x, y in free}
+    side = 2 * mega
+    return GridMap(side, side, tuple((x // 2, y // 2) not in free
+                                     for y in range(side)
+                                     for x in range(side)))
+
+
 class TestComponentOracle:
     def test_matches_min_unseen_labelling_on_split_maps(self):
         rng = random.Random(5)
@@ -335,6 +369,15 @@ class TestComponentOracle:
             assert _component_or_error(span, seeds) == (
                 _reference_component(span, seeds))
 
+    @pytest.mark.parametrize("vertical", [True, False])
+    def test_matches_min_unseen_labelling_on_serpentines(self, vertical):
+        span = build_spanning_graph(serpentine_map(120, vertical))
+        assert span.free.count(1) == 7260
+        ends = [(0, 0), (119, 0) if vertical else (0, 119)]
+        for seeds in ([], ends[:1], ends[1:], ends):
+            assert _component_or_error(span, seeds) == (
+                _reference_component(span, seeds))
+
     def test_random_connected_spans(self, rng):
         for _ in range(30):
             span = random_connected_span(rng, max_dim=8, max_cells=40)
@@ -347,13 +390,28 @@ class TestComponentOracle:
 def test_component_search_is_one_flood_fill():
     """Labelling every component per search is O(nodes x components):
     about 1.9 s on this map with ~7,100 components on a 2-vCPU VM. One
-    flood fill from the seed takes milliseconds; the bound leaves wide
-    room for a slow host."""
+    flood fill from the seed is a few rounds of whole-map int operations
+    here and takes milliseconds; the bound leaves wide room for a slow
+    host."""
     grid = checkerboard_map(120)
     t0 = time.perf_counter()
     span = pipeline.build_component(grid, [(0, 0)])
     elapsed = time.perf_counter() - t0
     assert len(span.nodes) == 180
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("vertical", [True, False])
+def test_component_search_on_a_serpentine(vertical):
+    """The fill's worst case: along a one-cell corridor each round of
+    whole-map int operations gains one cell, 3,690 rounds on the vertical
+    serpentine and 7,142 on the horizontal one (about 8 and
+    23 ms on a 2-vCPU VM). The bound is the one above."""
+    grid = serpentine_map(120, vertical)
+    t0 = time.perf_counter()
+    span = pipeline.build_component(grid, None)
+    elapsed = time.perf_counter() - t0
+    assert span.free.count(1) == 7260
     assert elapsed < 0.5
 
 

@@ -1,6 +1,7 @@
 """The summary of ``tools/pairs.py`` on fixed numbers."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,16 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     assert pairs.judge(parent, [16.0] * 5, "higher", 0.25) == "unresolved"
     # a wide spread does not hide a median worse by more than the bound
     assert pairs.judge(parent, [13.0] * 5, "lower", 0.25) == "regressed"
+
+
+def test_import_line_times_this_checkout_on_both_sides():
+    root = Path(__file__).parents[1]
+    times = pairs.import_times({"parent": root, "change": root}, 1)
+    assert [len(times[side]) for side in ("parent", "change")] == [1, 1]
+    assert all(0 < t < 10 for side in times for t in times[side])
+    line = pairs.import_line(times)
+    number = r"[0-9.e+-]+"
+    assert re.fullmatch(
+        rf"import turncover\.cli \(s, 1 fresh interpreters per side, "
+        rf"alternating\): ({number} ){{2}}{number} \| ({number} ){{2}}{number} "
+        rf"\| [01]/1 \| (within|better|worse)", line), line

@@ -277,8 +277,12 @@ def _built_views(recorded):
 def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
     """Every plan path runs on node ids: no span, brick set, tree, loop
     or robot sweep it makes has built its coordinate tuples when the run
-    returns."""
+    returns, and none reads ``SpanningGraph.ids``, the list of node ids."""
     recorded = []
+    id_reads = []
+    ids = grid_map.SpanningGraph.ids
+    monkeypatch.setattr(grid_map.SpanningGraph, "ids", property(
+        lambda span: id_reads.append(span) or ids.fget(span)))
 
     def record(module, name, pick):
         original = getattr(module, name)
@@ -318,6 +322,7 @@ def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
         recorded.clear()
         run()
         assert recorded and not _built_views(recorded)
+    assert len(id_reads) == 0
 
 
 def test_comparing_and_hashing_plans_builds_no_coordinate_views():

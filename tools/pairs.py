@@ -13,7 +13,14 @@ or worse than the parent's by more than the parent's interquartile
 range, the metric's verdict against its bound (see :func:`judge`), and
 then every pair's value on each side. Which way is better and each
 metric's bound are read from the ``BENCHMARK.json`` of this script's
-checkout. Standard library only.
+checkout.
+
+After the pairs it times ``import turncover.cli``, all that ``setup_s``
+measures, in ``IMPORT_PAIRS`` fresh interpreters per checkout, one at a
+time and alternating the sides as the pairs do, and prints that line
+too: the benchmark's ``setup_s`` is a median of a few such imports per
+run, and its spread between runs of one checkout comes near its bound.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+IMPORT_PAIRS = 30  # fresh interpreters per side timing the import
+_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); "
+           "t = time.perf_counter(); import turncover.cli; "
+           "print(time.perf_counter() - t)")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -93,6 +104,36 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float
     return json.loads(lines[-1]), digests
 
 
+def sides_in_order(i: int) -> tuple[str, str]:
+    """The order of the two sides in pair ``i``: the parent first in even
+    pairs, the change first in odd ones."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def import_times(sides: dict[str, Path], pairs: int) -> dict[str, list[float]]:
+    """Seconds for ``import turncover.cli`` from each side's ``src`` in a
+    fresh interpreter, ``pairs`` times per side, one process at a time,
+    the sides in the order of :func:`sides_in_order`."""
+    times: dict[str, list[float]] = {side: [] for side in sides}
+    for i in range(pairs):
+        for side in sides_in_order(i):
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", _IMPORT, str(sides[side] / "src")],
+                capture_output=True, text=True, check=True, timeout=60)
+            times[side].append(float(done.stdout))
+    return times
+
+
+def import_line(times: dict[str, list[float]]) -> str:
+    """The summary line of :func:`import_times`, lower being better."""
+    s = summarize(times["parent"], times["change"], "lower")
+    cells = [" ".join(f"{v:.6g}" for v in s[side])
+             for side in ("parent", "change")]
+    return (f"import turncover.cli (s, {s['pairs']} fresh interpreters per "
+            f"side, alternating): {cells[0]} | {cells[1]} | "
+            f"{s['wins']}/{s['pairs']} | {s['beyond']}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -112,8 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     runs = {side: [] for side in sides}
     digests = {side: set() for side in sides}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in sides_in_order(i):
             result, lines = run_once(sides[side], args.workload, args.seed,
                                      args.seconds)
             runs[side].append(result)
@@ -145,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in sides:
             print(f"  {side} by pair: "
                   + " ".join(f"{v:.6g}" for v in values[side]))
+    print(import_line(import_times(sides, IMPORT_PAIRS)))
     return 0
 
 
