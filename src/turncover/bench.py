@@ -8,11 +8,11 @@ import time
 
 from . import grid_map, pipeline
 from .coverage_path import RobotParams
-from .grid_map import (Coord, GridMap, Record, coverage_nodes_of, flood_fill,
-                       to_bits)
+from .grid_map import Coord, GridMap, Record, SpanningGraph
 from .pipeline import TREE_METHODS
 
 MAX_ATTEMPTS = 1000  # maps generate_random_map draws before giving up
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # a 0/1 flag -> its negation
 
 
 class Scenario(Record):
@@ -66,31 +66,39 @@ def generate_random_map(
     resolution_d: float = 0.5,
 ) -> GridMap:
     """Seeded random map with obstacles placed per mega cell; draws up
-    to ``MAX_ATTEMPTS`` maps until the free mega-cell region is
-    connected."""
+    to ``MAX_ATTEMPTS`` maps until the free mega cells are connected.
+
+    A draw samples the obstacles' mega-cell ids in row-major order,
+    ``y * mw + x``. ``random.sample`` picks by index, so these are the
+    cells that a row-major list of coordinates gives, and a seed keeps
+    its map. The draw sets one byte per obstacle in a row-major mask.
+    Its free cells, column by column, are a :class:`SpanningGraph`, and
+    the map is connected when the component search seeded at the least
+    node returns that graph whole; the seed spares a split draw the
+    labelling that only words an error. The unit map doubles each mask
+    byte across and each mask row down."""
     mw, mh = mega_dims
     if min(mw, mh) < 1:
         raise ValueError("mega dimensions must be at least 1")
     if not 0 <= obstacle_ratio < 1:
         raise ValueError("obstacle ratio must be in [0, 1)")
     rng = random.Random(seed)
-    cells_all = [(x, y) for y in range(mh) for x in range(mw)]
+    ids = range(mw * mh)
     n_obstacles = int(mw * mh * obstacle_ratio)
     for _ in range(MAX_ATTEMPTS):
-        occupied = set(rng.sample(cells_all, n_obstacles))
-        free = bytearray(mw * mh)  # flat layout, stride mh
-        for x, y in cells_all:
-            if (x, y) not in occupied:
-                free[x * mh + y] = 1
-        bits = to_bits(free, mh)
-        if flood_fill(bits, mh + 1, bits & -bits) == bits:
-            occupied_units = coverage_nodes_of(occupied)
-            cells = bytes(
-                (x, y) in occupied_units
-                for y in range(2 * mh)
-                for x in range(2 * mw)
-            )
-            return GridMap(2 * mw, 2 * mh, cells, resolution_d)
+        mask = bytearray(mw * mh)
+        for i in rng.sample(ids, n_obstacles):
+            mask[i] = 1
+        free = b"".join([mask[x::mw] for x in range(mw)]).translate(_NOT)
+        span = SpanningGraph(mw, mh, free)
+        least = divmod(free.index(1), mh)
+        if grid_map.connected_component(span, [least]) == span:
+            row = 2 * mw
+            wide = bytearray(row * mh)
+            wide[0::2] = wide[1::2] = mask
+            cells = b"".join([wide[y:y + row] * 2
+                              for y in range(0, len(wide), row)])
+            return GridMap(row, 2 * mh, cells, resolution_d)
     raise ValueError(
         f"no connected map found for {mw}x{mh} at ratio {obstacle_ratio} "
         f"after {MAX_ATTEMPTS} attempts"

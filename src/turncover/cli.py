@@ -66,14 +66,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_map(args) -> grid_map.GridMap:
     if args.map is None:
         raise CliError("usage error", "--map is required")
-    try:
-        data = Path(args.map).read_bytes()
-    except OSError as exc:
-        raise CliError("io error", str(exc)) from exc
-    try:
-        return grid_map.parse_map(data, args.format, args.d)
-    except grid_map.MapFormatError as exc:
-        raise CliError("parse error", str(exc)) from exc
+    data = Path(args.map).read_bytes()
+    return grid_map.parse_map(data, args.format, args.d)
 
 
 def _params(args) -> RobotParams:

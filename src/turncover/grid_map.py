@@ -3,7 +3,7 @@
 The planner works on the spanning graph of mega cells (2d x 2d blocks
 of four unit cells, d being the tool width). A mega cell is a spanning
 node only when all four of its unit cells are free, so every spanning
-node stands for exactly four coverage nodes (``coverage_nodes_of``).
+node stands for exactly four coverage nodes.
 
 Coordinates are (x=column, y=row) with the origin at the top-left;
 serialization is row-major. Inside, the geometry stages number mega
@@ -15,7 +15,7 @@ lives in flat lists and bytearrays instead of tuple-keyed dicts.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress, repeat
 
@@ -350,16 +350,6 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
     if 1 not in free:
         raise ValueError("map has no fully free mega cell")
     return SpanningGraph((width + 1) // 2, mega_height, bytes(free))
-
-
-def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
-    """Unit cells of the given mega cells, four per mega cell."""
-    return frozenset(
-        (2 * mx + dx, 2 * my + dy)
-        for mx, my in cells
-        for dx in (0, 1)
-        for dy in (0, 1)
-    )
 
 
 def connected_component(span: SpanningGraph, seeds: list[Coord]) -> SpanningGraph:

@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the planner against.
 
 Slow and written for clarity on coordinate tuples: the per-block
-discretization and the cell-by-cell flood fill, exhaustive searches
-for small instances, a bottleneck DP over cut positions for the min-max
-partition and for each first cut, the feasibility sweep priced one
-``LoopCostModel.arc_cost`` call at a time, the segment graph built from
-coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
+discretization, the four unit cells of each mega cell, the
+cell-by-cell flood fill, exhaustive searches for small instances, a
+bottleneck DP over cut positions for the min-max partition and for
+each first cut, the feasibility sweep priced one
+``LoopCostModel.arc_cost`` call at a time, the segment graph built
+from coordinate ``Segment`` tuples and endpoint buckets, Hopcroft-Karp
 matching, the quadrant-rule walk one unit cell at a time, the loop's
 turns from coordinate steps, each sweep sliced from the loop's nodes,
 the per-pair twist finder, path timing on twist coordinates, the loop
@@ -64,6 +65,16 @@ def build_spanning_graph(grid: GridMap) -> SpanningGraph:
     if not nodes:
         raise ValueError("map has no fully free mega cell")
     return span_of((width + 1) // 2, (grid.height + 1) // 2, nodes)
+
+
+def coverage_nodes_of(cells: Iterable[Coord]) -> frozenset[Coord]:
+    """Unit cells of the given mega cells, four per mega cell."""
+    return frozenset(
+        (2 * mx + dx, 2 * my + dy)
+        for mx, my in cells
+        for dx in (0, 1)
+        for dy in (0, 1)
+    )
 
 
 def flood_fill(todo: bytearray, height: int, root: int) -> list[int]:

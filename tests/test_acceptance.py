@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from turncover import bench, brick_tiling, grid_map, pipeline
+from turncover import bench, brick_tiling, pipeline
 from turncover.balance import balance_partition
 from turncover.brick_tiling import (
     build_segment_graph,
@@ -29,7 +29,8 @@ from turncover.coverage_path import (
 from turncover.tree_builder import dfs_tree, kruskal_tree, merge_bricks, tree_turns
 
 from conftest import make_span, random_connected_span
-from oracles import brute_force_min_tiling, brute_force_partition, loop_turn_count
+from oracles import (brute_force_min_tiling, brute_force_partition,
+                     coverage_nodes_of, loop_turn_count)
 
 PARAMS = RobotParams()
 
@@ -220,7 +221,7 @@ def test_10_coverage_completeness():
             grid = bench.generate_random_map((6, 5), 0.15, seed)
             result = pipeline.plan(grid, k=k, seed=seed)
             loop = result.loop
-            cover = grid_map.coverage_nodes_of(result.span.nodes)
+            cover = coverage_nodes_of(result.span.nodes)
             assert set(loop.nodes) == cover
             visited = set()
             indices = []

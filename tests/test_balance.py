@@ -19,14 +19,13 @@ from turncover.brick_tiling import min_brick_tiling
 from turncover.coverage_path import (CoverageLoop, RobotParams, cells,
                                     circumnavigate, extract_twists, path_time,
                                     run_twists)
-from turncover.grid_map import coverage_nodes_of
 from turncover.tree_builder import dfs_tree, kruskal_tree, merge_bricks
 
 import oracles
 from conftest import make_span, random_connected_span
 from oracles import (bottleneck_partition, brute_force_partition,
-                     first_cut_makespans, greedy_cuts, quadrant_walk,
-                     shortest_gap_first)
+                     coverage_nodes_of, first_cut_makespans, greedy_cuts,
+                     quadrant_walk, shortest_gap_first)
 
 PARAMS = RobotParams()
 

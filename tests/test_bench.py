@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from turncover import (balance, bench, brick_tiling, cli, coverage_path,
@@ -30,6 +32,31 @@ class TestGenerateRandomMap:
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
             bench.generate_random_map((4, 4), 1.0, 0)
+
+    @pytest.mark.parametrize("dims, ratio, seed, digest", [
+        # 1x7, 7x1 and 8x8 reject split draws before one is connected
+        ((1, 7), 0.25, 3,
+         "58902a0fdee41ca4dc3576c8922d14717d6a35470047c555a3935899a681d3dd"),
+        ((7, 1), 0.25, 4,
+         "9941b4d8b17a1d642bbd2b29ffa736acf025086fa6b5acd810c9f518edf2347c"),
+        ((5, 5), 0.0, 0,
+         "cd00e292c5970d3c5e2f0ffa5171e555bc46bfc4faddfb4a418b6840b86e79a3"),
+        ((8, 8), 0.25, 1,
+         "8d8c051fb2c5ba322f4b2e336db5232b4092acd7642e51cacb163a1b18526295"),
+        ((9, 6), 0.15, 2,
+         "2bbaedcd56c975528ec2ced56f45e2883af7c2fb81089188cb46fd15db1d6220"),
+        ((6, 11), 0.2, 5,
+         "ed7d54026c2802d7df700d3b7317eccb86e2a407966e39b4483a52a53e153115"),
+        ((40, 40), 0.1, 7,
+         "d33fac71975965e8fb7beed95e94039869876310ccb77fa73594c700a357998d"),
+        ((120, 120), 0.1, 7,
+         "2b8121b2713c62eeed949ab9e492799cde66f92a1cc5b3aa933527b3bd159d61"),
+    ])
+    def test_pinned_bytes(self, dims, ratio, seed, digest):
+        # a seed names the same map in every version of the generator
+        grid = bench.generate_random_map(dims, ratio, seed)
+        assert (grid.width, grid.height) == (2 * dims[0], 2 * dims[1])
+        assert hashlib.sha256(grid.cells).hexdigest() == digest
 
     def test_unattainable_connectivity(self):
         with pytest.raises(ValueError, match="no connected map"):

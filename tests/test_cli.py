@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import stat
@@ -52,6 +53,24 @@ class TestTile:
     def test_missing_file(self, capsys):
         assert main(["tile", "--map", "/nonexistent.map"]) == 1
         assert "io error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["tile", "tree", "plan"])
+def test_map_errors_print_one_full_line(command, tmp_path, capsys):
+    # a map that cannot be read or parsed: the category, then the error's
+    # own text, and nothing on stdout
+    missing, bad = tmp_path / "missing.grid", tmp_path / "bad.grid"
+    bad.write_text("00\n0x\n")
+    cases = [
+        (missing, f"io error: [Errno {errno.ENOENT}] "
+                  f"{os.strerror(errno.ENOENT)}: {str(missing)!r}\n"),
+        (tmp_path, f"io error: [Errno {errno.EISDIR}] "
+                   f"{os.strerror(errno.EISDIR)}: {str(tmp_path)!r}\n"),
+        (bad, "parse error: unknown glyph 'x' in row 1\n"),
+    ]
+    for path, line in cases:
+        assert main([command, "--map", str(path)]) == 1
+        assert capsys.readouterr() == ("", line)
 
 
 class TestTree:

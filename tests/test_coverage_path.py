@@ -15,7 +15,6 @@ from turncover.coverage_path import (
     path_time,
     turn_term,
 )
-from turncover.grid_map import coverage_nodes_of
 from turncover.tree_builder import (
     SpanningTree,
     dfs_tree,
@@ -26,7 +25,8 @@ from turncover.tree_builder import (
 
 from conftest import (make_span, make_tree, normalize_edge,
                       random_connected_span, span_of)
-from oracles import loop_turn_count, loop_turns, quadrant_walk
+from oracles import (coverage_nodes_of, loop_turn_count, loop_turns,
+                     quadrant_walk)
 
 PARAMS = RobotParams()
 

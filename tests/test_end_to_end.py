@@ -20,10 +20,11 @@ from turncover import balance, pipeline
 from turncover.balance import LoopCostModel
 from turncover.brick_tiling import build_segment_graph
 from turncover.coverage_path import RobotParams, circumnavigate
-from turncover.grid_map import GridMap, coverage_nodes_of
+from turncover.grid_map import GridMap
 from turncover.tree_builder import tree_turns
 
-from oracles import bottleneck_partition, hopcroft_karp, loop_turn_count
+from oracles import (bottleneck_partition, coverage_nodes_of, hopcroft_karp,
+                     loop_turn_count)
 
 PARAMS = RobotParams()
 

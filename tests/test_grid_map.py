@@ -13,7 +13,6 @@ from turncover.grid_map import (
     MapFormatError,
     build_spanning_graph,
     connected_component,
-    coverage_nodes_of,
     flood_fill,
     from_bits,
     parse_map,
@@ -21,6 +20,7 @@ from turncover.grid_map import (
 )
 
 import oracles
+from oracles import coverage_nodes_of
 from conftest import random_connected_span, span_edges, span_of
 
 MOVINGAI_4X4 = "type octile\nheight 4\nwidth 4\nmap\n....\n....\n....\n....\n"

@@ -174,6 +174,16 @@ def _names(paths) -> set[str]:
     return names
 
 
+def test_only_grid_map_knows_the_bit_layout():
+    # the component search's int layout, a guard bit after each column,
+    # stays private to grid_map: other modules search through
+    # connected_component and its records
+    layout = {"to_bits", "from_bits", "flood_fill"}
+    readers = sorted(path.name for path in SOURCE.glob("*.py")
+                     if layout & _names([path]))
+    assert readers == ["grid_map.py"]
+
+
 def test_every_definition_is_named_by_a_caller():
     # a function, method or class that neither the package nor the
     # benchmark names is dead code. Special methods are called by the
