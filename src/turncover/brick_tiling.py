@@ -10,12 +10,12 @@ free cells minus deleted borders. The independent set comes from a
 maximum matching (Pothen and Fan, 1990) and the Koenig vertex-cover
 construction.
 
-Every stage works on flat arrays indexed by segment id. A segment is the
-border below or right of its first cell, so it is stored as that cell's
-id ``x * H + y`` and one orientation byte. The segments are the edges of
-the spanning graph, numbered in the order of their flagged
-``SpanningGraph.edge_slots``, so a segment is nothing but its id. The
-sorted conflict pairs ``SegmentGraph.edges`` are derived on first access.
+Every stage works on flat arrays indexed by segment id. A segment is an
+edge of the spanning graph, and its id is its slot in
+``SpanningGraph.edge_slots``: the border below (low bit 0) or right of
+(low bit 1) the cell ``id >> 1``, so a segment is nothing but its id.
+The sorted conflict pairs ``SegmentGraph.edges`` are derived on first
+access.
 
 The matching starts from a greedy one and then runs phases. A phase is
 one depth-first search along alternating paths from every free
@@ -35,28 +35,25 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import compress, repeat
-from operator import ne
 
 from .grid_map import Coord, Record, SpanningGraph
 
 _RIGHT, _DOWN = 1, 2  # a cell's deleted border, in tiling_from_independent_set
-_SWAP = bytes.maketrans(b"\0\1", b"\1\0")  # orientation byte -> horizontal flag
 _IS_ID = (-1).__lt__  # a segment id, not the -1 of no segment
 
 
 class SegmentGraph(Record):
     """The conflict graph on flat arrays by segment id.
 
-    Each segment ``s`` is the border right of (``vertical[s] == 1``) or
-    below (``0``) the cell with id ``first_cell[s]``. Ids follow the cell
-    ids, the horizontal segment of a cell before its vertical one.
-    ``adjacency[h]`` lists the vertical neighbours of a horizontal
-    segment in ascending id order; the vertical segments and the
-    horizontal ones without a neighbour share one empty tuple.
+    ``slots`` are the span's ``edge_slots``, and each flagged slot ``s``
+    is a segment: the border right of (the low bit of its id is 1) or
+    below (0) the cell with id ``s >> 1``. ``adjacency[h]`` lists the
+    vertical neighbours of a horizontal segment in ascending id order;
+    the vertical segments, the horizontal ones without a neighbour and
+    the unflagged slots share one empty tuple.
     """
 
-    first_cell: list[int]
-    vertical: bytes
+    slots: bytes
     horizontal_ids: list[int]
     adjacency: list[Sequence[int]]
 
@@ -67,9 +64,9 @@ class SegmentGraph(Record):
                      for v in self.adjacency[h])
 
     @property
-    def segments(self) -> range:
-        """The segment ids."""
-        return range(len(self.first_cell))
+    def segments(self) -> list[int]:
+        """The segment ids, ascending: the flagged slots."""
+        return list(compress(range(len(self.slots)), self.slots))
 
 
 class BrickSet(Record):
@@ -94,38 +91,29 @@ class BrickSet(Record):
 
 
 def build_segment_graph(span: SpanningGraph) -> SegmentGraph:
-    """One segment per flagged slot of ``span.edge_slots``, in slot
-    order; edges join perpendicular segments sharing a geometric
+    """One segment per flagged slot of ``span.edge_slots``, with the slot
+    as its id; edges join perpendicular segments sharing a geometric
     endpoint (parallel ones never connect).
 
     The horizontal border below ``(x, y)`` ends at the lattice points
     ``(x, y + 1)`` and ``(x + 1, y + 1)``, which it shares with the
     vertical borders right of ``(x - 1, y)``, ``(x - 1, y + 1)``,
-    ``(x, y)`` and ``(x, y + 1)``: cells ``i - H``, ``i - H + 1``, ``i``
-    and ``i + 1`` from the cell's id ``i``. The segment ids follow the
-    cell ids, so those come in ascending order.
+    ``(x, y)`` and ``(x, y + 1)``: slots ``h - 2H + 1``, ``h - 2H + 3``,
+    ``h + 1`` and ``h + 3`` from its own slot ``h``, in ascending order.
     """
-    height, n, slots = span.mega_height, len(span.free), span.edge_slots
-    doubled = [0] * len(slots)  # slot -> cell id
-    doubled[0::2] = doubled[1::2] = range(n)
-    first_cell = list(compress(doubled, slots))
-    vertical = bytes(compress(b"\0\1" * n, slots))
-    horizontal = vertical.translate(_SWAP)
-    size = len(first_cell)
-    h_ids = list(compress(range(size), horizontal))
-    right_of = [-1] * (len(span.free) + height + 1)  # cell id + H -> segment
-    for v in compress(range(size), vertical):
-        right_of[first_cell[v] + height] = v
-    # per horizontal segment below cell i: the vertical segments right of
-    # i - H, i - H + 1, i and i + 1
-    cells = list(compress(first_cell, horizontal))
-    around = zip(*[map(r.__getitem__, cells) for r in (
-        right_of, right_of[1:], right_of[height:], right_of[height + 1:])])
+    pad, slots = 2 * span.mega_height, span.edge_slots
+    size = len(slots)
+    h_ids = list(compress(range(0, size, 2), slots[0::2]))
+    v_at = [-1] * (pad + size)  # slot + 2H -> the vertical id there, or -1
+    for v in compress(range(1, size, 2), slots[1::2]):
+        v_at[pad + v] = v
+    around = zip(*[map(v_at[k:].__getitem__, h_ids)
+                   for k in (1, 3, pad + 1, pad + 3)])
     adjacency: list[Sequence[int]] = [()] * size
     for h, vs in zip(h_ids, around):
         # most interior segments have all four neighbours: keep that tuple
         adjacency[h] = vs if -1 not in vs else tuple(filter(_IS_ID, vs))
-    return SegmentGraph(first_cell, vertical, h_ids, adjacency)
+    return SegmentGraph(slots, h_ids, adjacency)
 
 
 def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
@@ -145,15 +133,14 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     the matching maximum; the search also stops when every horizontal
     segment is matched. The result is deterministic.
     """
-    size = len(graph.first_cell)
+    size = len(graph.slots)
     adj = graph.adjacency
-    match_h = [-1] * size
-    match_v = [-1] * size
+    mate = [-1] * size
     free = []
     for h in graph.horizontal_ids:
         for v in adj[h]:
-            if match_v[v] < 0:
-                match_h[h], match_v[v] = v, h
+            if mate[v] < 0:
+                mate[h], mate[v] = v, h
                 break
         else:
             free.append(h)
@@ -175,10 +162,10 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
                         break
                     it = scans.pop()
                     continue
-                h = match_v[v]
+                h = mate[v]
                 if h < 0:  # a free neighbour: flip the path
                     for u in reversed(path):
-                        match_h[u], match_v[v], v = v, u, match_h[u]
+                        mate[u], mate[v], v = v, u, mate[u]
                     augmented = True
                     break
                 scans.append(it)
@@ -186,10 +173,10 @@ def maximum_matching(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
                 it = scan(adj[h])
         if not augmented:
             break
-        free = [h for h in free if match_h[h] < 0]
+        free = [h for h in free if mate[h] < 0]
         scan = reversed if scan is iter else iter
-    return frozenset((h, match_h[h]) for h in graph.horizontal_ids
-                     if match_h[h] >= 0)
+    return frozenset((h, mate[h]) for h in graph.horizontal_ids
+                     if mate[h] >= 0)
 
 
 def max_independent_set(
@@ -201,16 +188,14 @@ def max_independent_set(
 
     The cover is the unreached horizontal and the reached vertical
     segments, so the set keeps the segments whose reached flag differs
-    from their orientation byte. One BFS over flat lists by segment id.
+    from the low bit of their id. One BFS over flat lists by segment id.
     """
-    size = len(graph.first_cell)
-    adj = graph.adjacency
-    match_v = [-1] * size
-    matched = bytearray(size)
+    slots, adj = graph.slots, graph.adjacency
+    size = len(slots)
+    mate = [-1] * size
     for h, v in matching:
-        match_v[v] = h
-        matched[h] = 1
-    frontier = [h for h in graph.horizontal_ids if not matched[h]]
+        mate[h], mate[v] = v, h
+    frontier = [h for h in graph.horizontal_ids if mate[h] < 0]
     reached = bytearray(size)
     for h in frontier:
         reached[h] = 1
@@ -218,11 +203,13 @@ def max_independent_set(
         for v in adj[h]:
             if not reached[v]:
                 reached[v] = 1
-                back = match_v[v]
+                back = mate[v]
                 if back >= 0 and not reached[back]:
                     reached[back] = 1
                     frontier.append(back)
-    return frozenset(compress(range(size), map(ne, graph.vertical, reached)))
+    low = int.from_bytes(b"\0\1" * (size >> 1), "big")
+    kept = (int.from_bytes(reached, "big") ^ low) & int.from_bytes(slots, "big")
+    return frozenset(compress(range(size), kept.to_bytes(size, "big")))
 
 
 def tiling_from_independent_set(
@@ -241,9 +228,8 @@ def tiling_from_independent_set(
     free = span.free
     n = len(free)
     link = bytearray(n)  # per cell id: the border deleted right or below
-    first_cell, vertical = graph.first_cell, graph.vertical
     for s in keep:
-        link[first_cell[s]] |= _RIGHT if vertical[s] else _DOWN
+        link[s >> 1] |= _RIGHT if s & 1 else _DOWN
     todo = bytearray(free)
     runs = []
     for y in range(height):

@@ -211,7 +211,9 @@ class SpanningGraph(Record):
     @cached_property
     def nodes(self) -> frozenset[Coord]:
         """The nodes as ``(x, y)`` mega cells."""
-        return frozenset(map(divmod, self.ids, repeat(self.mega_height)))
+        free = self.free
+        return frozenset(map(divmod, compress(range(len(free)), free),
+                             repeat(self.mega_height)))
 
     def has_node(self, node: Coord) -> bool:
         """Whether the mega cell ``node`` is a node, read off the flags."""
@@ -219,12 +221,6 @@ class SpanningGraph(Record):
         height = self.mega_height
         return (0 <= x < self.mega_width and 0 <= y < height
                 and self.free[x * height + y] == 1)
-
-    @property
-    def ids(self) -> list[int]:
-        """Node ids ``x * mega_height + y`` ascending, which is sorted
-        node order; built on each read and kept nowhere."""
-        return list(compress(range(len(self.free)), self.free))
 
     @property
     def edge_slots(self) -> bytes:

@@ -405,7 +405,7 @@ def hopcroft_karp(graph: SegmentGraph) -> frozenset[tuple[int, int]]:
     reachable instead of stopping at the shortest augmenting path, so a
     phase also takes longer vertex-disjoint paths.
     """
-    n = len(graph.segments)
+    n = max(graph.segments, default=-1) + 1
     h_ids = graph.horizontal_ids
     adj = graph.adjacency
     match_h = [-1] * n

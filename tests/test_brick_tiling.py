@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from itertools import compress
 
 import pytest
 
@@ -32,8 +33,8 @@ def fig_span():
 
 
 def vertical_ids(graph):
-    """The vertical segment ids, read off the orientation bytes."""
-    return [s for s in graph.segments if graph.vertical[s]]
+    """The vertical segment ids, read off the low bits of the ids."""
+    return [s for s in graph.segments if s & 1]
 
 
 class TestSegmentGraph:
@@ -46,7 +47,7 @@ class TestSegmentGraph:
     def test_strip_all_parallel(self):
         graph = build_segment_graph(make_span(5, 1))
         assert len(graph.segments) == 4
-        assert all(graph.vertical)
+        assert all(s & 1 for s in graph.segments)
         assert graph.edges == ()
 
     def test_2x2_complete_bipartite(self):
@@ -61,17 +62,16 @@ class TestSegmentGraph:
             span = random_connected_span(rng)
             graph = build_segment_graph(span)
             for h, v in graph.edges:
-                assert not graph.vertical[h]
-                assert graph.vertical[v]
+                assert not h & 1
+                assert v & 1
 
     def test_segment_orientation_perpendicular_to_pair_axis(self):
         span = make_span(2, 2)
         graph = build_segment_graph(span)
         pairs = []
         for s in graph.segments:
-            x, y = divmod(graph.first_cell[s], span.mega_height)
-            pairs.append(((x, y), (x + 1, y) if graph.vertical[s]
-                          else (x, y + 1)))
+            x, y = divmod(s >> 1, span.mega_height)
+            pairs.append(((x, y), (x + 1, y) if s & 1 else (x, y + 1)))
         # the border below (0, 0), then the ones right of (0, 0) and
         # (0, 1), then the one below (1, 0)
         assert pairs == [((0, 0), (0, 1)), ((0, 0), (1, 0)),
@@ -86,8 +86,9 @@ class TestSegmentGraph:
             for seed in range(3)]
         for span in spans:
             graph = build_segment_graph(span)
-            assert graph.edges == ReferenceSegmentGraph(span).edges
-            assert graph.first_cell == sorted(graph.first_cell)
+            ids = graph.segments
+            assert graph.edges == tuple(
+                (ids[h], ids[v]) for h, v in ReferenceSegmentGraph(span).edges)
 
 
 class TestMaximumMatching:
@@ -168,8 +169,8 @@ def _reference_tiling(span, graph, keep):
         return c
 
     for seg_id in keep:
-        x, y = divmod(graph.first_cell[seg_id], span.mega_height)
-        b = (x + 1, y) if graph.vertical[seg_id] else (x, y + 1)
+        x, y = divmod(seg_id >> 1, span.mega_height)
+        b = (x + 1, y) if seg_id & 1 else (x, y + 1)
         parent[find((x, y))] = find(b)
     groups = {}
     for cell in sorted(span.nodes):
@@ -258,7 +259,7 @@ class TestMatchingOracle:
         graph = make_graph()
         h_ids = graph.horizontal_ids
         nx_graph = nx.Graph()
-        nx_graph.add_nodes_from(range(len(graph.segments)))
+        nx_graph.add_nodes_from(graph.segments)
         nx_graph.add_edges_from(graph.edges)
         mate = nx.bipartite.hopcroft_karp_matching(nx_graph, top_nodes=h_ids)
         reference = frozenset((h, mate[h]) for h in h_ids if h in mate)
@@ -321,15 +322,42 @@ class TestSegmentView:
             graph = build_segment_graph(span)
             ref = ReferenceSegmentGraph(span)
             height = span.mega_height
+            ids = graph.segments
             cells = [s.cells[0] for s in ref.segments]
-            assert len(graph.segments) == len(ref.segments)
-            assert graph.first_cell == [x * height + y for x, y in cells]
-            assert graph.vertical == bytes(s.orientation == VERTICAL
-                                           for s in ref.segments)
-            assert graph.horizontal_ids == ref.horizontal_ids
-            assert vertical_ids(graph) == ref.vertical_ids
-            assert graph.adjacency == ref.adjacency
-            assert graph.edges == ref.edges
+            assert len(ids) == len(ref.segments)
+            assert [divmod(s >> 1, height) for s in ids] == cells
+            assert [s & 1 for s in ids] == [s.orientation == VERTICAL
+                                            for s in ref.segments]
+            assert graph.horizontal_ids == [ids[h] for h in ref.horizontal_ids]
+            assert vertical_ids(graph) == [ids[v] for v in ref.vertical_ids]
+            assert [graph.adjacency[s] for s in ids] == [
+                tuple(ids[v] for v in vs) for vs in ref.adjacency]
+            assert graph.edges == tuple((ids[h], ids[v]) for h, v in ref.edges)
+
+
+def mega40_spans():
+    return [pipeline.build_component(bench.generate_random_map(
+        (40, 40), ratio, seed), None) for ratio, seed in ((0.1, 7), (0.2, 1))]
+
+
+@pytest.mark.parametrize("spans", [_oracle_spans, mega40_spans],
+                         ids=["oracle-spans", "mega40-maps"])
+def test_segment_id_is_its_edge_slot(spans):
+    """The segments are the flagged edge slots, and every kept id names
+    the border of the reference segment it stands for."""
+    for span in spans():
+        slots = span.edge_slots
+        graph = build_segment_graph(span)
+        ids = graph.segments
+        assert ids == list(compress(range(len(slots)), slots))
+        border_of = {k: s.cells
+                     for k, s in zip(ids, ReferenceSegmentGraph(span).segments,
+                                     strict=True)}
+        height = span.mega_height
+        for k in max_independent_set(graph, maximum_matching(graph)):
+            x, y = divmod(k >> 1, height)
+            assert border_of[k] == ((x, y), (x + 1, y) if k & 1
+                                    else (x, y + 1))
 
 
 def serpentine_span(corridors, width, length):
@@ -452,7 +480,7 @@ class TestMaxIndependentSet:
     def test_edgeless_keeps_everything(self):
         graph = build_segment_graph(make_span(5, 1))
         keep = max_independent_set(graph, frozenset())
-        assert keep == frozenset(range(4))
+        assert keep == frozenset({1, 3, 5, 7})
 
     def test_single_edge_keeps_one(self):
         span = make_span(2, 2, obstacles=((1, 1),))  # L of 3 cells, 2 segments

@@ -41,9 +41,9 @@ def _cases():
          (3, 1, b"\1\0\1")),
         (SpanningTree, ("span", "flat_masks"),
          (span_of(2, 1, {(0, 0), (1, 0)}), b"\1\4")),
-        (SegmentGraph,
-         ("first_cell", "vertical", "horizontal_ids", "adjacency"),
-         ([0, 0, 1, 2], b"\0\1\1\0", [0, 3], [(1, 2), (), (), ()])),
+        (SegmentGraph, ("slots", "horizontal_ids", "adjacency"),
+         (b"\1\1\0\1\1\0\0\0", [0, 4],
+          [(1, 3), (), (), (), (1, 3), (), (), ()])),
         (BrickSet, ("runs", "height"), ((range(0, 3, 2), range(1, 2)), 2)),
         (RobotParams, ("accel", "v_max", "omega"), (1.0, 2.0, 3.0)),
         (CoverageLoop, ("runs", "rows", "resolution_d"),
@@ -75,7 +75,7 @@ CHANGED = {
     GridMap: ("resolution_d", 0.5),
     SpanningGraph: ("mega_width", 4),
     SpanningTree: ("flat_masks", b"\1\0"),
-    SegmentGraph: ("horizontal_ids", [0]),
+    SegmentGraph: ("slots", b"\1\1\0\1\0\0\0\0"),
     BrickSet: ("height", 3),
     RobotParams: ("omega", 0.5),
     CoverageLoop: ("rows", 4),
@@ -209,11 +209,10 @@ class TestCachedArrays:
         twin = span_of(2, 2, {(0, 0), (1, 0), (0, 1)})
         first = span.nodes
         assert span.nodes is first
-        assert span.free == b"\1\1\1\0" and span.ids == [0, 1, 2]
+        assert span.free == b"\1\1\1\0"
         assert span.edge_slots == b"\1\1\0\0\0\0\0\0"
-        # the id list and the edge slots are built on each read and never
-        # kept on the graph
-        assert "ids" not in vars(span) and "edge_slots" not in vars(span)
+        # the edge slots are built on each read and never kept on the graph
+        assert "edge_slots" not in vars(span)
         # derived arrays take no part in equality and hashing
         assert span == twin and hash(span) == hash(twin)
 
@@ -222,7 +221,7 @@ class TestCachedArrays:
             span_of(2, 2, {(0, 0), (1, 0), (0, 1), (1, 1)}))
         edges = graph.edges
         assert graph.edges is edges
-        assert edges == ((0, 1), (0, 2), (3, 1), (3, 2))
+        assert edges == ((0, 1), (0, 3), (4, 1), (4, 3))
 
 
 class TestLazyViews:
@@ -277,12 +276,8 @@ def _built_views(recorded):
 def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
     """Every plan path runs on node ids: no span, brick set, tree, loop
     or robot sweep it makes has built its coordinate tuples when the run
-    returns, and none reads ``SpanningGraph.ids``, the list of node ids."""
+    returns."""
     recorded = []
-    id_reads = []
-    ids = grid_map.SpanningGraph.ids
-    monkeypatch.setattr(grid_map.SpanningGraph, "ids", property(
-        lambda span: id_reads.append(span) or ids.fget(span)))
 
     def record(module, name, pick):
         original = getattr(module, name)
@@ -322,7 +317,6 @@ def test_plan_paths_build_no_coordinate_views(monkeypatch, tmp_path):
         recorded.clear()
         run()
         assert recorded and not _built_views(recorded)
-    assert len(id_reads) == 0
 
 
 def test_comparing_and_hashing_plans_builds_no_coordinate_views():
